@@ -48,26 +48,6 @@ class CalibrationParams:
 
 
 @dataclass
-class ContactEstimate:
-    """Location, force, and the torque they imply about the joint.
-
-    The torque is always recomputed from arm x force so the triple can
-    never drift out of consistency.
-    """
-
-    location_mm: np.ndarray
-    force_n: np.ndarray
-    arm_mm: np.ndarray
-    torque_nmm: np.ndarray = None
-
-    def __post_init__(self):
-        self.location_mm = np.asarray(self.location_mm, dtype=float).reshape(2)
-        self.force_n = np.asarray(self.force_n, dtype=float).reshape(3)
-        self.arm_mm = np.asarray(self.arm_mm, dtype=float).reshape(3)
-        self.torque_nmm = np.cross(self.arm_mm, self.force_n)
-
-
-@dataclass
 class SweepSample:
     """One averaged dwell from a characterization run."""
 
@@ -94,7 +74,6 @@ class SweepSample:
 class CharacterizationSweep:
     location_label: str
     samples: list
-    truth_is_noise_free: bool = True
 
     def force_truth(self) -> np.ndarray:
         return np.array([s.force_true_n for s in self.samples])
@@ -106,32 +85,20 @@ class CharacterizationSweep:
         return np.array([s.fa1_sum for s in self.samples])
 
 
-def estimate_location(
-    fa1_rel,
-    pitch_mm: float = DEFAULT_PITCH_MM,
-    mode: str = "normalized",
-    threshold_counts: float = CONTACT_THRESHOLD_COUNTS,
-) -> np.ndarray:
+def estimate_location(fa1_rel, pitch_mm: float = DEFAULT_PITCH_MM) -> np.ndarray:
     """Contact point (mm) from the relative taxel readings.
 
-    ``normalized`` divides by the live response sum, making the estimate
-    independent of how hard the press is.  ``literal`` divides by the taxel
-    count (16) instead, so it scales with force; it is kept for comparison
-    with the uncompensated formulation.  Raises NoContact when no taxel
-    clears the activation threshold.
+    The taxel-weighted centroid, divided by the live response sum so the
+    estimate is independent of how hard the press is.  Raises NoContact
+    when no taxel clears the activation threshold.
     """
     r = np.asarray(fa1_rel, dtype=float)
-    if r.max() <= threshold_counts:
-        raise NoContact(f"no taxel above {threshold_counts} counts")
+    if r.max() <= CONTACT_THRESHOLD_COUNTS:
+        raise NoContact(f"no taxel above {CONTACT_THRESHOLD_COUNTS} counts")
     r = np.clip(r, 0.0, None)
     grid_x = TAXEL_X_MM / DEFAULT_PITCH_MM * pitch_mm
     grid_y = TAXEL_Y_MM / DEFAULT_PITCH_MM * pitch_mm
-    if mode == "normalized":
-        denom = r.sum()
-    elif mode == "literal":
-        denom = float(r.size)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    denom = r.sum()
     x = float((grid_x * r).sum() / denom)
     y = float((grid_y * r).sum() / denom)
     return np.array([x, y])
@@ -162,17 +129,6 @@ def estimate_torque(location_mm, force_n, joint_center_mm=None) -> np.ndarray:
     contact = np.array([location_mm[0], location_mm[1], 0.0])
     r = contact - joint
     return np.cross(r, np.asarray(force_n, dtype=float))
-
-
-def estimate_contact(rel_frame, params: CalibrationParams, joint_center_mm=None) -> ContactEstimate:
-    """Full per-frame readout: where, how hard, and the implied torque."""
-    joint = DEFAULT_JOINT_CENTER_MM if joint_center_mm is None else np.asarray(
-        joint_center_mm, dtype=float
-    )
-    location = estimate_location(rel_frame.fa1, params.pitch_mm)
-    force = estimate_force(rel_frame, params)
-    arm = np.array([location[0], location[1], 0.0]) - joint
-    return ContactEstimate(location_mm=location, force_n=force, arm_mm=arm)
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray):

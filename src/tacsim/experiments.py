@@ -7,7 +7,7 @@ run with the same config and seed is byte-identical.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,28 +63,34 @@ def _header(cfg: Config, name: str) -> str:
     return f"tacsim {name} config_sha256={cfg.hash()} seed={cfg.get('environment', 'seed')}"
 
 
-def _elastomer(cfg: Config) -> ElastomerSpec:
-    e = cfg.section("elastomer")
-    return ElastomerSpec(
-        modulus_kpa=e["modulus_kpa"],
-        fa1_thickness_mm=e["fa1_thickness_mm"],
-        sa2_thickness_mm=e["sa2_thickness_mm"],
-        gauge_factor=e["gauge_factor"],
-        rest_resistance=e["rest_resistance"],
-        backlash_mm=e["backlash_mm"],
-        dead_zone_mm=e["dead_zone_mm"],
-    )
+def _sensors(cfg: Config, fingers: int | None = None) -> list[TactileSensor]:
+    """The configured sensor units, each with its own seeded noise stream.
 
-
-def _environment(cfg: Config, seed=None) -> Environment:
-    n = cfg.section("noise")
-    return Environment(
-        earth_field_ut=np.array(cfg.get("environment", "earth_field_ut")),
-        fa1_noise_counts=n["fa1_sigma_counts"],
-        sa2_noise_ut=n["sa2_sigma_ut"],
-        quantization_ut=n["quantization_ut"],
-        seed=cfg.get("environment", "seed") if seed is None else seed,
-    )
+    The one place config values become an ElastomerSpec, an Environment,
+    the marker magnet and a TactileSensor.  Without ``fingers`` this is one
+    unit (finger 0) seeded with the integer seed, as the open-loop studies
+    use; otherwise finger *f* of ``fingers`` is seeded with ``(seed, f)``.
+    """
+    seed = cfg.get("environment", "seed")
+    seeds = [seed] if fingers is None else [(seed, f) for f in range(fingers)]
+    elastomer = ElastomerSpec(**cfg.section("elastomer"))
+    magnet = default_magnet(cfg.get("sensor", "gap_mm"), cfg.get("sensor", "magnet_id"))
+    noise = cfg.section("noise")
+    return [
+        TactileSensor(
+            magnet=magnet,
+            elastomer=elastomer,
+            env=Environment(
+                earth_field_ut=np.array(cfg.get("environment", "earth_field_ut")),
+                fa1_noise_counts=noise["fa1_sigma_counts"],
+                sa2_noise_ut=noise["sa2_sigma_ut"],
+                quantization_ut=noise["quantization_ut"],
+                seed=finger_seed,
+            ),
+            finger_id=finger,
+        )
+        for finger, finger_seed in enumerate(seeds)
+    ]
 
 
 def _stream_config(cfg: Config) -> StreamConfig:
@@ -98,8 +104,30 @@ def _stream_config(cfg: Config) -> StreamConfig:
     )
 
 
-def _magnet(cfg: Config):
-    return default_magnet(cfg.get("sensor", "gap_mm"), cfg.get("sensor", "magnet_id"))
+class _Rig:
+    """One sensor feeding a fresh stream processor on the sample clock."""
+
+    def __init__(self, cfg: Config, sensor: TactileSensor):
+        self.stream = _stream_config(cfg)
+        self.processor = StreamProcessor(self.stream)
+        self.sensor = sensor
+        self.dt_us = int(round(1e6 / self.stream.sample_rate_hz))
+        self.t_us = 0
+
+    def _step(self, stimulus, orientation):
+        self.t_us += self.dt_us
+        frame = self.sensor.sample(stimulus, self.t_us, orientation=orientation)
+        return self.processor.process(frame)
+
+    def prime(self, idle: ContactStimulus, orientation=None):
+        """Run the initialization window on the idle stimulus to set the baseline."""
+        for _ in range(self.stream.init_samples):
+            self._step(idle, orientation)
+
+    def dwell_mean(self, stimulus: ContactStimulus, dwell: int, tail: int, orientation=None):
+        """Hold a stimulus for ``dwell`` frames; mean taxels and flux of the last ``tail``."""
+        rel = [self._step(stimulus, orientation) for _ in range(dwell)][max(dwell - tail, 0):]
+        return np.mean([r.fa1 for r in rel], axis=0), np.mean([r.sa2 for r in rel], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +155,8 @@ class CharacterizeResult:
 def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) -> CharacterizationSweep:
     """Stream one location's press schedule through the pipeline."""
     ch = cfg.section("characterize")
-    stream = _stream_config(cfg)
-    processor = StreamProcessor(stream)
-    dt_us = int(round(1e6 / stream.sample_rate_hz))
     probe = ch["probe_radius_mm"]
 
-    idle = ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe)
     schedule = []
     fz_grid = np.arange(0.0, ch["force_max_n"] + ch["force_step_n"] / 2, ch["force_step_n"])
     for fz in fz_grid:
@@ -145,24 +169,14 @@ def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) ->
     for fy in shear_grid:
         schedule.append((0.0, float(fy), ch["shear_hold_n"]))
 
-    t = 0
-    for _ in range(stream.init_samples):
-        t += dt_us
-        processor.process(sensor.sample(idle, t))
+    rig = _Rig(cfg, sensor)
+    rig.prime(ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe))
 
     cop = pressure_centroid(location, probe)
     samples = []
-    dwell, tail = ch["dwell_frames"], ch["tail_frames"]
     for force in schedule:
         stimulus = ContactStimulus(location_mm=location, force_n=force, probe_radius_mm=probe)
-        rel_tail = []
-        for i in range(dwell):
-            t += dt_us
-            rel = processor.process(sensor.sample(stimulus, t))
-            if i >= dwell - tail:
-                rel_tail.append(rel)
-        fa1 = np.mean([r.fa1 for r in rel_tail], axis=0)
-        sa2 = np.mean([r.sa2 for r in rel_tail], axis=0)
+        fa1, sa2 = rig.dwell_mean(stimulus, ch["dwell_frames"], ch["tail_frames"])
         samples.append(
             SweepSample(
                 force_true_n=np.array(force),
@@ -201,11 +215,7 @@ def _evaluate_sweep(sweep: CharacterizationSweep, params: CalibrationParams) -> 
 
 def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
     """Full press protocol at every location, then fit and score."""
-    elastomer = _elastomer(cfg)
-    magnet = _magnet(cfg)
-    env = _environment(cfg)
-    sensor = TactileSensor(magnet=magnet, elastomer=elastomer, env=env, finger_id=0)
-
+    (sensor,) = _sensors(cfg)
     sweeps = []
     for i, location in enumerate(cfg.locations(), start=1):
         sweeps.append(_simulate_sweep(cfg, sensor, f"L{i}", location))
@@ -301,42 +311,21 @@ class DisturbanceResult:
     out_files: list
 
 
-def _pose_mean(processor, sensor, stimulus, orientation, dwell, tail, t_us, dt_us):
-    rel_tail = []
-    for i in range(dwell):
-        t_us += dt_us
-        rel = processor.process(sensor.sample(stimulus, t_us, orientation=orientation))
-        if rel is not None and i >= dwell - tail:
-            rel_tail.append(rel.sa2)
-    return np.mean(rel_tail, axis=0), t_us
-
-
 def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     """Rotation disturbance, earth-field fit, and cancellation payoff."""
-    elastomer = _elastomer(cfg)
-    magnet = _magnet(cfg)
-    env = _environment(cfg)
-    sensor = TactileSensor(magnet=magnet, elastomer=elastomer, env=env, finger_id=0)
-    stream = _stream_config(cfg)
-    processor = StreamProcessor(stream)
-    dt_us = int(round(1e6 / stream.sample_rate_hz))
+    (sensor,) = _sensors(cfg)
+    rig = _Rig(cfg, sensor)
     d = cfg.section("disturbance")
     angle = np.deg2rad(d["rotation_deg"])
-    dwell, tail, repeats = d["dwell_frames"], d["tail_frames"], d["repeats"]
+    repeats = d["repeats"]
 
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     reference = np.eye(3)
     disturb_pose = rot_x(angle)
-
-    t = 0
-    for _ in range(stream.init_samples):
-        t += dt_us
-        processor.process(sensor.sample(idle, t, orientation=reference))
+    rig.prime(idle, reference)
 
     def measure(orientation):
-        nonlocal t
-        mean, t = _pose_mean(processor, sensor, idle, orientation, dwell, tail, t, dt_us)
-        return mean
+        return rig.dwell_mean(idle, d["dwell_frames"], d["tail_frames"], orientation)[1]
 
     # phase 1: uncompensated disturbance
     pre = []
@@ -361,7 +350,7 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
         post.append(delta - predicted_disturbance(b_e, disturb_pose.T))
     d_post = float(np.mean([np.linalg.norm(v) for v in post]))
 
-    signal = effective_signal(magnet, cfg.get("sensor", "gap_mm"), model="cylinder")
+    signal = effective_signal(sensor.magnet, cfg.get("sensor", "gap_mm"), model="cylinder")
     snr_pre = snr(signal, d_pre)
     snr_post = snr(signal, d_post)
     result = DisturbanceResult(
@@ -483,31 +472,19 @@ def _grasp_parts(cfg: Config):
 
 def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
     geometry, policy, obj = _grasp_parts(cfg)
-    g = cfg.section("grasp")
-    sim = GraspSimulation(
-        obj,
-        policy,
-        geometry=geometry,
-        stream=_stream_config(cfg),
-        elastomer=_elastomer(cfg),
-        seed=cfg.get("environment", "seed"),
-        earth_field_ut=np.array(cfg.get("environment", "earth_field_ut")),
-    )
-    trace = sim.run(max_ticks=g["max_ticks"])
+    stream = _stream_config(cfg)
 
+    def grasp(target):
+        sim = GraspSimulation(target, policy, _sensors(cfg, 2), geometry=geometry, stream=stream)
+        return sim.run(max_ticks=cfg.get("grasp", "max_ticks"))
+
+    trace = grasp(obj)
     linearity = None
     if isinstance(obj, Tweezers) and isinstance(policy, HysteresisPolicy):
         linearity = tweezers_linearity_study(
-            g["tweezers_sizes_mm"],
-            policy=policy,
-            geometry=geometry,
-            seed=cfg.get("environment", "seed"),
-            tweezers_kwargs=dict(
-                outer_width_mm=g["tweezers_width_mm"],
-                tip_gap_mm=g["tweezers_tip_gap_mm"],
-                arm_rate_n_per_mm=g["tweezers_arm_rate_n_mm"],
-                spring_rate_n_per_mm=g["tweezers_spring_n_mm"],
-            ),
+            cfg.get("grasp", "tweezers_sizes_mm"),
+            lambda size: grasp(replace(obj, object_size_mm=size)),
+            geometry,
         )
 
     out_files = []
@@ -552,20 +529,7 @@ class StreamResult:
 def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     """Raw idle frames from every finger for the configured duration."""
     stream = _stream_config(cfg)
-    elastomer = _elastomer(cfg)
-    magnet = _magnet(cfg)
-    seed = cfg.get("environment", "seed")
-    n = cfg.section("noise")
-    sensors = []
-    for finger in range(stream.fingers):
-        env = Environment(
-            earth_field_ut=np.array(cfg.get("environment", "earth_field_ut")),
-            fa1_noise_counts=n["fa1_sigma_counts"],
-            sa2_noise_ut=n["sa2_sigma_ut"],
-            quantization_ut=n["quantization_ut"],
-            seed=(seed, finger),
-        )
-        sensors.append(TactileSensor(magnet=magnet, elastomer=elastomer, env=env, finger_id=finger))
+    sensors = _sensors(cfg, stream.fingers)
 
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     dt_us = int(round(1e6 / stream.sample_rate_hz))

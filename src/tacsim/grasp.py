@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
 from .pipeline import StreamConfig, StreamProcessor
-from .sensor import ContactStimulus, ElastomerSpec, Environment, TactileSensor
-from .magnets import default_magnet
+from .sensor import ContactStimulus
 
 
 class Phase(Enum):
@@ -159,7 +158,6 @@ class GripperState:
     halted: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=bool))
     hold_elapsed_s: float = 0.0
     tick: int = 0
-    object_model: object = None
 
     def travel_mm(self, geometry: GripperGeometry) -> np.ndarray:
         return self.motor_deg * geometry.mm_per_deg
@@ -266,41 +264,33 @@ class GraspTrace:
 
 
 class GraspSimulation:
-    """Ties sensors, pipeline, object, and controller into one seeded loop."""
+    """Ties sensors, pipeline, object, and controller into one loop.
+
+    ``sensors`` holds the two fingertips, finger *f* at index *f*; they
+    carry the physics, the noise and the seeded RNG state.
+    """
 
     def __init__(
         self,
         object_model,
         policy,
+        sensors,
         geometry: GripperGeometry = GripperGeometry(),
         stream: StreamConfig = StreamConfig(),
-        elastomer: ElastomerSpec = ElastomerSpec(),
-        seed: int = 0,
-        earth_field_ut=(0.0, 0.0, 0.0),
-        step_interval_ticks: int | None = None,
-        env_kwargs: dict | None = None,
     ):
         self.object_model = object_model
         self.policy = policy
+        self.sensors = sensors
         self.geometry = geometry
         self.stream = stream
         self.dt_s = 1.0 / stream.sample_rate_hz
         # actuate no faster than the filter settles, else decisions chase a
-        # stale signal and overrun the thresholds
-        self.step_interval_ticks = step_interval_ticks or max(1, stream.ma_window)
-        magnet = default_magnet(elastomer.sa2_thickness_mm)
-        self.sensors = []
-        for finger in range(2):
-            env = Environment(
-                earth_field_ut=earth_field_ut, seed=(seed, finger), **(env_kwargs or {})
-            )
-            self.sensors.append(
-                TactileSensor(magnet=magnet, elastomer=elastomer, env=env, finger_id=finger)
-            )
+        # stale signal and overrun the thresholds (StreamConfig keeps it >= 1)
+        self.step_interval_ticks = stream.ma_window
         self.processor = StreamProcessor(stream)
 
     def run(self, max_ticks: int = 2000) -> GraspTrace:
-        state = GripperState(object_model=self.object_model)
+        state = GripperState()
         rows: list[TraceRow] = []
         events: list[tuple[int, str]] = []
         dt_us = int(round(1e6 / self.stream.sample_rate_hz))
@@ -379,35 +369,22 @@ class LinearityResult:
 
 
 def tweezers_linearity_study(
-    sizes_mm,
-    policy: HysteresisPolicy = HysteresisPolicy(),
-    geometry: GripperGeometry = GripperGeometry(),
-    seed: int = 0,
-    tweezers_kwargs: dict | None = None,
-    max_ticks: int = 2500,
-    env_kwargs: dict | None = None,
+    sizes_mm, grasp_size, geometry: GripperGeometry = GripperGeometry()
 ) -> LinearityResult:
     """Steady-hold motor gap versus squeezed object size.
 
-    The tweezers' lever arm turns object size linearly into fingertip
-    separation at the grasp threshold, so the relation should be a line.
-    Raises GraspFailed if any size never reaches a hold and
-    RankDeficientFit for fewer than two distinct sizes.
+    ``grasp_size(size_mm)`` runs one grasp on tweezers squeezing an object
+    of that size and returns its GraspTrace.  The tweezers' lever arm turns
+    object size linearly into fingertip separation at the grasp threshold,
+    so the relation should be a line.  Raises GraspFailed if any size never
+    reaches a hold and RankDeficientFit for fewer than two distinct sizes.
     """
     sizes = np.asarray(sizes_mm, dtype=float)
     if np.unique(sizes).size < 2:
         raise RankDeficientFit("need at least two distinct object sizes")
-    kwargs = dict(tweezers_kwargs or {})
     gaps = []
     for size in sizes:
-        sim = GraspSimulation(
-            Tweezers(object_size_mm=float(size), **kwargs),
-            policy,
-            geometry=geometry,
-            seed=seed,
-            env_kwargs=env_kwargs,
-        )
-        trace = sim.run(max_ticks=max_ticks)
+        trace = grasp_size(float(size))
         hold = trace.event_tick("hold_start")
         if hold is None:
             raise GraspFailed(f"size {size} mm never reached a hold")

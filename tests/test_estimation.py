@@ -7,7 +7,6 @@ from tacsim.estimation import (
     CalibrationParams,
     CharacterizationSweep,
     SweepSample,
-    estimate_contact,
     estimate_force,
     estimate_location,
     estimate_torque,
@@ -60,18 +59,6 @@ def test_single_taxel_reads_its_own_position():
     np.testing.assert_allclose(estimate_location(fa1), [7.5, 5.0], rtol=1e-12)
 
 
-def test_literal_mode_divides_by_taxel_count():
-    loc = estimate_location(np.full((4, 4), 1.0), mode="literal", threshold_counts=0.5)
-    assert loc[0] == pytest.approx(2.5 * 40.0 / 16.0)
-    assert loc[1] == pytest.approx(6.25)
-
-
-def test_literal_mode_scales_with_activation():
-    base = estimate_location(np.full((4, 4), 1.0), mode="literal", threshold_counts=0.5)
-    scaled = estimate_location(np.full((4, 4), 3.0), mode="literal", threshold_counts=0.5)
-    np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
-
-
 def test_normalized_mode_ignores_press_strength(rng):
     for _ in range(50):
         fa1 = rng.uniform(0.0, 100.0, size=(4, 4))
@@ -92,11 +79,6 @@ def test_pitch_scales_the_grid():
     fa1 = np.zeros((4, 4))
     fa1[0, 0] = 10.0
     np.testing.assert_allclose(estimate_location(fa1, pitch_mm=5.0), [5.0, 5.0], rtol=1e-12)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        estimate_location(np.full((4, 4), 10.0), mode="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +158,6 @@ def test_torque_is_orthogonal_to_arm_and_force(rng):
         r = np.array([loc[0], loc[1], 0.0]) - np.asarray(DEFAULT_JOINT_CENTER_MM)
         assert abs(tau @ r) <= 1e-9 * max(1.0, np.linalg.norm(tau) * np.linalg.norm(r))
         assert abs(tau @ force) <= 1e-9 * max(1.0, np.linalg.norm(tau) * np.linalg.norm(force))
-
-
-def test_contact_estimate_is_internally_consistent():
-    params = CalibrationParams(k=(0.002, 0.002, 0.4), b=(0.0, 0.0, 0.0), blend=0.0)
-    sample = SweepSample(
-        force_true_n=np.zeros(3),
-        location_true_mm=np.array([6.25, 6.25]),
-        fa1_rel=uniform_fa1(3000.0),
-        sa2_rel=np.array([120.0, -40.0, 800.0]),
-    )
-    est = estimate_contact(sample, params)
-    np.testing.assert_allclose(est.torque_nmm, np.cross(est.arm_mm, est.force_n), atol=0.0)
-    np.testing.assert_allclose(
-        est.arm_mm, np.array([est.location_mm[0], est.location_mm[1], 0.0]) - np.asarray(DEFAULT_JOINT_CENTER_MM)
-    )
 
 
 def test_params_validation():

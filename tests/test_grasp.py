@@ -19,10 +19,28 @@ from tacsim.grasp import (
     grip_signal,
     tweezers_linearity_study,
 )
+from tacsim.sensor import Environment, TactileSensor
 
 DT = 1.0 / 250.0
 GEO = GripperGeometry()
 QUIET = {"fa1_noise_counts": 0.0, "sa2_noise_ut": 0.0, "quantization_ut": 0.0}
+
+
+def simulation(obj, policy, seed, **env_kwargs):
+    """Library-default fingertips, no earth field, finger f seeded (seed, f)."""
+    sensors = [
+        TactileSensor(env=Environment(seed=(seed, f), **env_kwargs), finger_id=f)
+        for f in range(2)
+    ]
+    return GraspSimulation(obj, policy, sensors)
+
+
+def tweezers_grasp(seed, max_ticks=2500, **env_kwargs):
+    """The linearity study's per-size grasp: hysteresis policy on default tweezers."""
+    def grasp(size):
+        sim = simulation(Tweezers(object_size_mm=size), HysteresisPolicy(), seed, **env_kwargs)
+        return sim.run(max_ticks=max_ticks)
+    return grasp
 
 
 def rel(fa1_sum=0.0, sa2=(0.0, 0.0, 0.0)):
@@ -206,7 +224,7 @@ def test_increments_always_unit_sized(rng):
 # ---------------------------------------------------------------------------
 
 def test_egg_grasp_halts_without_crush():
-    sim = GraspSimulation(Egg(), SingleThreshold(), seed=3)
+    sim = simulation(Egg(), SingleThreshold(), seed=3)
     trace = sim.run()
     hold = trace.event_tick("hold_start")
     assert hold is not None
@@ -221,14 +239,14 @@ def test_egg_grasp_halts_without_crush():
 
 
 def test_seeded_runs_are_identical():
-    traces = [GraspSimulation(Egg(), SingleThreshold(), seed=11).run() for _ in range(2)]
+    traces = [simulation(Egg(), SingleThreshold(), seed=11).run() for _ in range(2)]
     a, b = traces
     assert a.events == b.events
     assert [(r.motor_deg, r.signal) for r in a.rows] == [(r.motor_deg, r.signal) for r in b.rows]
 
 
 def test_empty_gripper_reaches_travel_limit():
-    sim = GraspSimulation(NoObject(), SingleThreshold(), seed=0)
+    sim = simulation(NoObject(), SingleThreshold(), seed=0)
     trace = sim.run(max_ticks=3000)
     assert trace.event_tick("mechanical_limit_finger0") is not None
     assert trace.event_tick("mechanical_limit_finger1") is not None
@@ -237,7 +255,7 @@ def test_empty_gripper_reaches_travel_limit():
 
 
 def test_hysteresis_hold_lasts_exactly_two_seconds():
-    sim = GraspSimulation(Egg(), HysteresisPolicy(), seed=5)
+    sim = simulation(Egg(), HysteresisPolicy(), seed=5)
     trace = sim.run(max_ticks=3000)
     hold = trace.event_tick("hold_start")
     release = trace.event_tick("release_start")
@@ -248,7 +266,7 @@ def test_hysteresis_hold_lasts_exactly_two_seconds():
 
 
 def test_tweezers_pick_is_gentle():
-    sim = GraspSimulation(Tweezers(), HysteresisPolicy(), seed=2)
+    sim = simulation(Tweezers(), HysteresisPolicy(), seed=2)
     trace = sim.run(max_ticks=3000)
     hold = trace.event_tick("hold_start")
     release = trace.event_tick("release_start")
@@ -257,7 +275,7 @@ def test_tweezers_pick_is_gentle():
 
 
 def test_separation_accounting():
-    sim = GraspSimulation(Egg(), SingleThreshold(), seed=3)
+    sim = simulation(Egg(), SingleThreshold(), seed=3)
     trace = sim.run()
     hold = trace.event_tick("hold_start")
     motors = [r.motor_deg for r in trace.rows if r.tick == hold]
@@ -267,9 +285,7 @@ def test_separation_accounting():
 
 
 def test_linearity_study_noise_free():
-    result = tweezers_linearity_study(
-        sizes_mm=(2.0, 4.0, 6.0, 8.0, 10.0), seed=0, env_kwargs=QUIET
-    )
+    result = tweezers_linearity_study((2.0, 4.0, 6.0, 8.0, 10.0), tweezers_grasp(0, **QUIET))
     assert result.r2 > 0.999
     assert result.slope == pytest.approx(0.911, abs=0.05)
     assert np.all(np.diff(result.hold_gap_mm) > 0.0)
@@ -277,9 +293,9 @@ def test_linearity_study_noise_free():
 
 def test_linearity_needs_two_sizes():
     with pytest.raises(RankDeficientFit):
-        tweezers_linearity_study(sizes_mm=(5.0, 5.0), seed=0)
+        tweezers_linearity_study((5.0, 5.0), tweezers_grasp(0))
 
 
 def test_study_flags_unreachable_hold():
     with pytest.raises(GraspFailed):
-        tweezers_linearity_study(sizes_mm=(2.0, 8.0), seed=0, max_ticks=10)
+        tweezers_linearity_study((2.0, 8.0), tweezers_grasp(0, max_ticks=10))
