@@ -58,9 +58,6 @@ def main(argv=None) -> int:
         return 2
     try:
         result = COMMANDS[args.command](cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except TacsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from .disturbance import (
     predicted_disturbance,
     snr,
 )
-from .errors import ConfigError, NoContact
+from .errors import NoContact
 from .estimation import (
     CalibrationParams,
     CharacterizationSweep,
@@ -97,7 +97,6 @@ def _stream_config(cfg: Config) -> StreamConfig:
     s = cfg.section("stream")
     return StreamConfig(
         sample_rate_hz=s["rate_hz"],
-        fingers=s["fingers"],
         init_samples=s["init_samples"],
         baseline_tail=s["baseline_tail"],
         ma_window=s["ma_window"],
@@ -203,6 +202,8 @@ def _evaluate_sweep(sweep: CharacterizationSweep, params: CalibrationParams) -> 
         tau_est = estimate_torque(loc_est, f_est)
         tau_true = estimate_torque(s.location_true_mm, s.force_true_n)
         torque_sq.extend((tau_est - tau_true) ** 2)
+    if not loc_sq:
+        raise NoContact(f"no sample at {sweep.location_label} reached the taxel threshold")
     return LocationMetrics(
         label=sweep.location_label,
         n_samples=len(sweep.samples),
@@ -443,13 +444,11 @@ def _grasp_parts(cfg: Config):
     )
     if g["policy"] == "single":
         policy = SingleThreshold(threshold=g["threshold"], blend=g["blend"])
-    elif g["policy"] == "hysteresis":
+    else:
         policy = HysteresisPolicy(
             close_above=g["close_above"], release_below=g["release_below"],
             hold_s=g["hold_s"], blend=g["blend"],
         )
-    else:
-        raise ConfigError(f"unknown grasp policy {g['policy']!r}")
     if g["object"] == "egg":
         obj = Egg(size_mm=g["egg_size_mm"], stiffness_n_per_mm=g["egg_stiffness_n_mm"],
                   crush_force_n=g["egg_crush_n"])
@@ -457,7 +456,7 @@ def _grasp_parts(cfg: Config):
         obj = NoObject()
     elif g["object"] == "rigid":
         obj = RigidObject(size_mm=g["rigid_size_mm"], stiffness_n_per_mm=g["rigid_stiffness_n_mm"])
-    elif g["object"] == "tweezers":
+    else:
         obj = Tweezers(
             object_size_mm=g["tweezers_size_mm"],
             outer_width_mm=g["tweezers_width_mm"],
@@ -465,8 +464,6 @@ def _grasp_parts(cfg: Config):
             arm_rate_n_per_mm=g["tweezers_arm_rate_n_mm"],
             spring_rate_n_per_mm=g["tweezers_spring_n_mm"],
         )
-    else:
-        raise ConfigError(f"unknown grasp object {g['object']!r}")
     return geometry, policy, obj
 
 
@@ -528,12 +525,12 @@ class StreamResult:
 
 def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     """Raw idle frames from every finger for the configured duration."""
-    stream = _stream_config(cfg)
-    sensors = _sensors(cfg, stream.fingers)
+    s = cfg.section("stream")
+    sensors = _sensors(cfg, s["fingers"])
 
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
-    dt_us = int(round(1e6 / stream.sample_rate_hz))
-    n_frames = int(round(cfg.get("stream", "duration_s") * stream.sample_rate_hz))
+    dt_us = int(round(1e6 / s["rate_hz"]))
+    n_frames = int(round(s["duration_s"] * s["rate_hz"]))
     frames = []
     for k in range(n_frames):
         for sensor in sensors:

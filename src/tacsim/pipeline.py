@@ -6,6 +6,7 @@ initialization window (the sensor must be idle while it runs).
 """
 
 import csv
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ CSV_HEADER = (
 @dataclass
 class StreamConfig:
     sample_rate_hz: int = 250
-    fingers: int = 2
     init_samples: int = 300
     baseline_tail: int = 100
     ma_window: int = 6
@@ -43,8 +43,8 @@ class StreamConfig:
             raise ValueError("baseline tail cannot exceed the initialization length")
         if self.ma_window < 1:
             raise ValueError("filter window must be >= 1")
-        if self.sample_rate_hz <= 0 or self.fingers < 1:
-            raise ValueError("rate and finger count must be positive")
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample rate must be positive")
 
 
 @dataclass
@@ -201,16 +201,20 @@ def encode_frame(frame: TactileFrame) -> bytes:
     )
 
 
+def _record_frame(fields) -> TactileFrame:
+    """Frame from a record's 21 fields; MalformedRecord unless counts and flux are in range."""
+    counts, sa2 = fields[2:18], fields[18:21]
+    if min(counts) < 0 or max(counts) > ADC_MAX:
+        raise MalformedRecord("counts outside ADC range")
+    if not all(map(math.isfinite, sa2)):
+        raise MalformedRecord("flux is not finite")
+    return TactileFrame(fields[0], fields[1], np.array(counts).reshape(FA1_SHAPE), np.float32(sa2))
+
+
 def decode_frame(record: bytes) -> TactileFrame:
     if len(record) != RECORD_SIZE:
         raise MalformedRecord(f"record is {len(record)} bytes, expected {RECORD_SIZE}")
-    parts = struct.unpack(RECORD_FORMAT, record)
-    ts, fid = parts[0], parts[1]
-    counts = np.array(parts[2:18], dtype=int).reshape(FA1_SHAPE)
-    if counts.max() > ADC_MAX:
-        raise MalformedRecord("counts outside ADC range")
-    sa2 = np.array(parts[18:21], dtype=np.float32)
-    return TactileFrame(timestamp_us=ts, finger_id=fid, fa1=counts, sa2=sa2)
+    return _record_frame(struct.unpack(RECORD_FORMAT, record))
 
 
 def encode_frames(frames) -> bytes:
@@ -222,9 +226,7 @@ def decode_frames(buf: bytes) -> list[TactileFrame]:
         raise MalformedRecord(
             f"{len(buf)} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
-    return [
-        decode_frame(buf[i : i + RECORD_SIZE]) for i in range(0, len(buf), RECORD_SIZE)
-    ]
+    return [_record_frame(fields) for fields in struct.iter_unpack(RECORD_FORMAT, buf)]
 
 
 def _format_float(x) -> str:
@@ -250,18 +252,15 @@ def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
 def read_frames_csv(path) -> list[TactileFrame]:
     frames = []
     with Path(path).open() as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise MalformedRecord("unexpected CSV header")
-    for row in reader:
-        frames.append(
-            TactileFrame(
-                timestamp_us=int(row[0]),
-                finger_id=int(row[1]),
-                fa1=np.array([int(v) for v in row[2:18]]).reshape(FA1_SHAPE),
-                sa2=np.array([np.float32(v) for v in row[18:21]], dtype=np.float32),
-            )
-        )
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        if next(reader, None) != CSV_HEADER:
+            raise MalformedRecord("unexpected CSV header")
+        for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise MalformedRecord(f"CSV row has {len(row)} fields, expected {len(CSV_HEADER)}")
+            try:
+                fields = [int(v) for v in row[:18]] + [np.float32(v) for v in row[18:]]
+            except ValueError as exc:
+                raise MalformedRecord(f"bad CSV field: {exc}") from None
+            frames.append(_record_frame(fields))
     return frames

@@ -122,6 +122,69 @@ def test_cli_rejects_bad_override(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# Each of these crashed mid-study with a traceback, or exited 0 with NaN,
+# empty or meaningless output, before values were range-checked at load.
+BAD_VALUES = [
+    ("characterize", "stream.ma_window=0"),
+    ("characterize", "stream.rate_hz=0"),
+    ("stream", "stream.fingers=0"),
+    ("characterize", "stream.init_samples=0"),
+    ("disturbance", "disturbance.tail_frames=0"),
+    ("disturbance", "environment.earth_field_ut=1,2"),
+    ("characterize", "characterize.tail_frames=0"),
+    ("characterize", "characterize.dwell_frames=0"),
+    ("characterize", "characterize.force_step_n=0"),
+    ("snr-sweep", "snr.dy_step_mm=0"),
+    ("characterize", "characterize.locations=1,2,3"),
+    ("characterize", "characterize.locations=20,20"),
+    ("characterize", "characterize.locations="),
+    ("characterize", "characterize.probe_radius_mm=1e-9"),
+    ("characterize", "characterize.probe_radius_mm=1e300"),
+    ("grasp", "sensor.magnet_id=7"),
+    ("characterize", "elastomer.modulus_kpa=0"),
+    ("grasp", "grasp.egg_crush_n=0"),
+    ("grasp", "grasp.policy=hysteresis", "grasp.close_above=100"),
+    ("grasp", "grasp.object=tweezers", "grasp.tweezers_size_mm=20"),
+    ("characterize", "stream.baseline_tail=0"),
+    ("stream", "stream.fingers=300", "stream.binary=true"),
+    ("stream", "noise.sa2_sigma_ut=nan"),
+    ("stream", "noise.sa2_sigma_ut=-1"),
+    ("stream", "noise.quantization_ut=inf"),
+    ("stream", "environment.earth_field_ut=nan,0,0"),
+    ("disturbance", "disturbance.repeats=0"),
+    ("stream", "stream.duration_s=-1"),
+    ("snr-sweep", "snr.dy_min_mm=40"),
+    ("grasp", "grasp.hold_s=-1"),
+    ("grasp", "grasp.blend=2"),
+]
+
+
+# Config files that broke a study, or that the INI reader failed on with a traceback.
+BAD_FILES = {
+    "config-file-ma-window": b"[stream]\nma_window = 0\n",
+    "config-file-percent": b"[characterize]\nlocations = 50%\n",
+    "config-file-not-utf8": b"\xff\xfe[stream]\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command] + [a for o in overrides for a in ("--set", o)] for command, *overrides in BAD_VALUES]
+    + [["stream", "--seed", "-1"]]
+    + [["characterize", "--config", name] for name in BAD_FILES],
+    ids=[" ".join(overrides) for _, *overrides in BAD_VALUES] + ["seed=-1"] + list(BAD_FILES),
+)
+def test_bad_value_exits_two_before_the_study(argv, tmp_path, capsys):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_bytes(text)
+    out = tmp_path / "out"
+    code = main([str(tmp_path / a) if a in BAD_FILES else a for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     code = main(
         [

@@ -233,6 +233,14 @@ def test_truncated_record_rejected():
         decode_frames(buf + b"\x00" * 5)
 
 
+def test_record_with_nan_flux_rejected():
+    record = encode_frame(make_frame(1, sa2=(float("nan"), 0.0, 0.0)))
+    with pytest.raises(MalformedRecord):
+        decode_frame(record)
+    with pytest.raises(MalformedRecord):
+        decode_frames(record)
+
+
 def test_batch_codec_round_trip(rng):
     frames = [random_frame(rng, i + 1) for i in range(64)]
     back = decode_frames(encode_frames(frames))
@@ -257,12 +265,32 @@ def test_csv_round_trip(tmp_path, rng):
         assert np.array_equal(a.sa2, b.sa2)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda fields: fields[:-1],
+        lambda fields: fields[:2] + ["3.5"] + fields[3:],
+        lambda fields: fields[:2] + ["1024"] + fields[3:],
+        lambda fields: fields[:18] + ["nan"] + fields[19:],
+        lambda fields: fields[:18] + ["inf"] + fields[19:],
+    ],
+    ids=["short-row", "non-integer-count", "count-above-1023", "nan-flux", "inf-flux"],
+)
+def test_malformed_csv_row_rejected(tmp_path, edit):
+    path = tmp_path / "log.csv"
+    write_frames_csv([make_frame(1, value=3)], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
+    with pytest.raises(MalformedRecord):
+        read_frames_csv(path)
+
+
 def test_one_second_of_stream_is_500_records_of_19_channels():
     config = StreamConfig()
     frames = []
     for i in range(config.sample_rate_hz):
         t = 4000 * (i + 1)
-        for finger in range(config.fingers):
+        for finger in range(2):
             frames.append(make_frame(t, finger=finger))
     assert len(frames) == 500
     buf = encode_frames(frames)
