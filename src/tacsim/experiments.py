@@ -21,7 +21,7 @@ from .disturbance import (
     predicted_disturbance,
     snr,
 )
-from .errors import NoContact
+from .errors import InvalidSignal, NoContact
 from .estimation import (
     CalibrationParams,
     CharacterizationSweep,
@@ -44,7 +44,16 @@ from .grasp import (
     tweezers_linearity_study,
 )
 from .magnets import default_magnet, effective_signal
-from .pipeline import StreamConfig, StreamProcessor, encode_frames, write_frames_csv
+from .pipeline import (
+    CHANNELS_PER_FINGER,
+    FA1_SHAPE,
+    StreamConfig,
+    TactileFrame,
+    baseline_from_arrays,
+    encode_frames,
+    moving_average,
+    write_frames_csv,
+)
 from .rotations import rot_x, rot_y
 from .sensor import (
     ContactStimulus,
@@ -104,29 +113,37 @@ def _stream_config(cfg: Config) -> StreamConfig:
 
 
 class _Rig:
-    """One sensor feeding a fresh stream processor on the sample clock."""
+    """One sensor on the stream front end: baseline from the init window, then smoothing.
+
+    Each held stimulus is sampled as one block and filtered as arrays.  The
+    last ``ma_window - 1`` baseline-subtracted rows are carried from one
+    dwell to the next, so the moving average runs on as it would frame by
+    frame through a ``StreamProcessor``.
+    """
 
     def __init__(self, cfg: Config, sensor: TactileSensor):
         self.stream = _stream_config(cfg)
-        self.processor = StreamProcessor(self.stream)
         self.sensor = sensor
-        self.dt_us = int(round(1e6 / self.stream.sample_rate_hz))
-        self.t_us = 0
-
-    def _step(self, stimulus, orientation):
-        self.t_us += self.dt_us
-        frame = self.sensor.sample(stimulus, self.t_us, orientation=orientation)
-        return self.processor.process(frame)
+        self.baseline = None
+        self.history = np.empty((0, CHANNELS_PER_FINGER))
 
     def prime(self, idle: ContactStimulus, orientation=None):
         """Run the initialization window on the idle stimulus to set the baseline."""
-        for _ in range(self.stream.init_samples):
-            self._step(idle, orientation)
+        counts, flux = self.sensor.sample_block(idle, self.stream.init_samples, orientation)
+        self.baseline = baseline_from_arrays(counts, flux, self.stream)
 
     def dwell_mean(self, stimulus: ContactStimulus, dwell: int, tail: int, orientation=None):
         """Hold a stimulus for ``dwell`` frames; mean taxels and flux of the last ``tail``."""
-        rel = [self._step(stimulus, orientation) for _ in range(dwell)][max(dwell - tail, 0):]
-        return np.mean([r.fa1 for r in rel], axis=0), np.mean([r.sa2 for r in rel], axis=0)
+        counts, flux = self.sensor.sample_block(stimulus, dwell, orientation)
+        rel = np.hstack([
+            counts.astype(float) - self.baseline.fa1_mean.ravel(),
+            flux.astype(float) - self.baseline.sa2_mean,
+        ])
+        rows = np.concatenate([self.history, rel])
+        self.history = rows[max(len(rows) - self.stream.ma_window + 1, 0):]
+        smooth = moving_average(rows, self.stream.ma_window)[-min(dwell, tail):]
+        fa1 = np.mean(smooth[:, :16].reshape(-1, *FA1_SHAPE), axis=0)
+        return fa1, np.mean(smooth[:, 16:], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +371,8 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     signal = effective_signal(sensor.magnet, cfg.get("sensor", "gap_mm"), model="cylinder")
     snr_pre = snr(signal, d_pre)
     snr_post = snr(signal, d_post)
+    if snr_pre == 1.0:  # d_pre is 0, or too small to register beside the signal
+        raise InvalidSignal(f"no disturbance to recover: measured {d_pre!r} uT before cancelling")
     result = DisturbanceResult(
         earth_estimate_ut=b_e,
         fit_report=report,
@@ -531,10 +550,14 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     dt_us = int(round(1e6 / s["rate_hz"]))
     n_frames = int(round(s["duration_s"] * s["rate_hz"]))
-    frames = []
-    for k in range(n_frames):
-        for sensor in sensors:
-            frames.append(sensor.sample(idle, (k + 1) * dt_us))
+    # each finger has its own RNG, so one block per finger draws what the
+    # interleaved per-frame loop drew
+    blocks = [sensor.sample_block(idle, n_frames) for sensor in sensors]
+    frames = [
+        TactileFrame((k + 1) * dt_us, sensor.finger_id, counts[k].reshape(FA1_SHAPE), flux[k])
+        for k in range(n_frames)
+        for sensor, (counts, flux) in zip(sensors, blocks)
+    ]
 
     out_files = []
     if out_dir is not None:

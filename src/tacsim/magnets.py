@@ -11,6 +11,11 @@ Two evaluators are provided:
   in the interference study; with a pure point-dipole model every marker
   would have an identical signal-to-disturbance ratio by construction.
 
+``cylinder_flux`` is memoised on the magnet and the exact offset (its
+float64 bit patterns) in a bounded LRU cache: the studies hold a stimulus
+for many frames and recalibrate the same markers, so most calls repeat an
+earlier one.  A cached result is the same read-only array on every hit.
+
 Units: millimetres in, microtesla out, moments in A*m^2.  For the cylinder
 model the offset is measured from the centre of the magnet's bottom face
 (the face looking at the flux sensor); sub-dipoles fill z in [0, height].
@@ -33,6 +38,10 @@ MIN_OFFSET_MM = 0.5
 _QUAD_RADIAL = 3
 _QUAD_ANGULAR = 8
 _QUAD_AXIAL = 3
+
+# distinct (magnet, offset) pairs kept by the cylinder_flux memo (~0.3 kB
+# each); a study meets at most ~120
+FLUX_CACHE_SIZE = 1024
 
 CALIBRATION_PROBE_MM = 1.0  # lateral displacement used to define the signal
 CALIBRATION_REL_TOL = 1e-6
@@ -95,8 +104,15 @@ def cylinder_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
 
     ``offset_mm`` points from the centre of the magnet's bottom face to the
     field point.  The total moment is spread uniformly over the volume.
+    Results are memoised and returned read-only.
     """
-    offset = np.asarray(offset_mm, dtype=float).reshape(3)
+    return _cylinder_flux(magnet, np.asarray(offset_mm, dtype=float).reshape(3).tobytes())
+
+
+@lru_cache(maxsize=FLUX_CACHE_SIZE)
+def _cylinder_flux(magnet: MagnetSpec, offset_bytes: bytes) -> np.ndarray:
+    # keyed on the offset's float64 bit patterns, so a hit is bit-identical
+    offset = np.frombuffer(offset_bytes)
     radial = max(0.0, float(np.hypot(offset[0], offset[1])) - 0.5 * magnet.diameter_mm)
     axial = max(0.0, -offset[2], offset[2] - magnet.height_mm)
     if np.hypot(radial, axial) <= MIN_OFFSET_MM:
@@ -106,7 +122,9 @@ def cylinder_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
     pts = _cylinder_grid(magnet.diameter_mm, magnet.height_mm)
     r = offset[None, :] - pts
     sub_moment = np.array([0.0, 0.0, magnet.moment_a_m2 / len(pts)])
-    return _dipole_field(sub_moment, r)
+    flux = _dipole_field(sub_moment, r)
+    flux.flags.writeable = False
+    return flux
 
 
 def effective_signal(magnet: MagnetSpec, gap_mm: float, model: str = "cylinder") -> float:

@@ -97,14 +97,23 @@ def initialize(frames, config: StreamConfig = StreamConfig()) -> Baseline:
     last ``baseline_tail`` of them.  Raises InsufficientSamples otherwise.
     """
     frames = list(frames)
-    if len(frames) < config.init_samples:
+    return baseline_from_arrays(
+        np.array([f.fa1.ravel() for f in frames]), np.array([f.sa2 for f in frames]), config
+    )
+
+
+def baseline_from_arrays(counts, flux, config: StreamConfig) -> Baseline:
+    """``initialize`` for frames held as ``(N, 16)`` counts and ``(N, 3)`` flux arrays."""
+    if len(counts) < config.init_samples:
         raise InsufficientSamples(
-            f"need {config.init_samples} frames, got {len(frames)}"
+            f"need {config.init_samples} frames, got {len(counts)}"
         )
-    window = frames[config.init_samples - config.baseline_tail : config.init_samples]
-    fa1 = np.mean([f.fa1 for f in window], axis=0)
-    sa2 = np.mean([np.asarray(f.sa2, dtype=float) for f in window], axis=0)
-    return Baseline(fa1_mean=fa1, sa2_mean=sa2, sample_count=len(window))
+    window = slice(config.init_samples - config.baseline_tail, config.init_samples)
+    return Baseline(
+        fa1_mean=np.mean(counts[window], axis=0).reshape(FA1_SHAPE),
+        sa2_mean=np.mean(np.asarray(flux[window], dtype=float), axis=0),
+        sample_count=config.baseline_tail,
+    )
 
 
 def subtract_baseline(frame: TactileFrame, baseline: Baseline) -> RelativeFrame:
@@ -138,10 +147,22 @@ class MovingAverage:
 
 
 def moving_average(values, window: int) -> np.ndarray:
-    """Filter a whole sequence (samples along axis 0)."""
-    ma = MovingAverage(window)
-    values = np.asarray(values, dtype=float)
-    return np.stack([ma.update(v) for v in values])
+    """Filter a whole sequence (samples along axis 0) as ``MovingAverage`` does.
+
+    Each output sums its window oldest sample first.  For samples of two or
+    more channels, such as frames, that is the order in which
+    ``MovingAverage.update``'s mean adds them, so the two agree bit for bit;
+    numpy sums a single channel's window of 8 or more pairwise, so there
+    they may differ in the last bit.
+    """
+    x = np.asarray(values, dtype=float)
+    full = max(len(x) - window + 1, 0)  # outputs with a whole window behind them
+    total = x[:full].copy()
+    for k in range(1, window):
+        total += x[k : k + full]
+    total = np.concatenate([np.cumsum(x[: len(x) - full], axis=0), total])
+    count = np.minimum(np.arange(1, len(x) + 1), window)
+    return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 class StreamProcessor:

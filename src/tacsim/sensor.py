@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DisplacementOutOfRange
 from .magnets import MagnetSpec, cylinder_flux, default_magnet
-from .pipeline import ADC_MAX, TactileFrame
+from .pipeline import ADC_MAX, FA1_SHAPE, TactileFrame
 from .rotations import is_rotation
 
 TAXEL_PITCH_MM = 2.5
@@ -152,28 +152,37 @@ def fa1_gain(elastomer: ElastomerSpec) -> float:
     return elastomer.rest_resistance * elastomer.gauge_factor
 
 
-def sample_fa1(
-    stimulus: ContactStimulus, elastomer: ElastomerSpec, env: Environment
-) -> Fa1Sample:
-    """Integer taxel counts for one contact.
+def _fa1_reading(stimulus: ContactStimulus, elastomer: ElastomerSpec) -> np.ndarray:
+    """Noise-free 4x4 taxel reading (counts, unrounded) for one contact.
 
     Each taxel is a linear spring: strain = (its share of Fz / taxel area)
-    / modulus, reading = rest_resistance * gauge_factor * strain.  Noise is
-    added before quantisation; counts clip to the 10-bit range and the clip
-    is flagged.
+    / modulus, reading = rest_resistance * gauge_factor * strain.
     """
     fz = stimulus.force_n[2]
     w = footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm)
     area_m2 = (TAXEL_PITCH_MM * 1e-3) ** 2
     stress_pa = w * fz / area_m2
     strain = stress_pa / (elastomer.modulus_kpa * 1e3)
-    reading = fa1_gain(elastomer) * strain
+    return fa1_gain(elastomer) * strain
+
+
+def _fa1_counts(reading: np.ndarray) -> np.ndarray:
+    """Round a (noisy) reading to integer counts, clipped to the 10-bit range."""
+    return np.clip(np.rint(reading), 0, ADC_MAX).astype(int)
+
+
+def sample_fa1(
+    stimulus: ContactStimulus, elastomer: ElastomerSpec, env: Environment
+) -> Fa1Sample:
+    """Integer taxel counts for one contact: noise is added before quantisation.
+
+    A count that the 10-bit range clips is flagged as ``saturated``.
+    """
+    reading = _fa1_reading(stimulus, elastomer)
     if env.fa1_noise_counts > 0.0:
         reading = reading + env.rng.normal(0.0, env.fa1_noise_counts, size=reading.shape)
-    counts = np.rint(reading)
-    saturated = bool(counts.max() > ADC_MAX)
-    counts = np.clip(counts, 0, ADC_MAX).astype(int)
-    return Fa1Sample(counts=counts, saturated=saturated)
+    saturated = bool(np.rint(reading).max() > ADC_MAX)
+    return Fa1Sample(counts=_fa1_counts(reading), saturated=saturated)
 
 
 def compliance_mm_per_n(elastomer: ElastomerSpec) -> float:
@@ -209,18 +218,17 @@ def magnet_field_at_sensor(magnet: MagnetSpec, displacement_mm, gap_mm: float) -
     return cylinder_flux(magnet, -position)
 
 
-def sample_sa2(
+def _sa2_field(
     stimulus: ContactStimulus,
     magnet: MagnetSpec,
     elastomer: ElastomerSpec,
     env: Environment,
     orientation=None,
 ) -> np.ndarray:
-    """Three-axis flux sample (uT): marker + earth + neighbours + noise.
+    """Noise-free flux (uT) at the sensor: marker + earth + neighbours.
 
     The earth field enters through the transpose of the sensor-to-world
-    rotation; neighbour markers contribute their static fields.  The result
-    is quantised to the ADC step and returned as float32-exact values.
+    rotation; neighbour markers contribute their static fields.
     """
     delta = bone_displacement(stimulus.force_n, elastomer)
     R = env.orientation if orientation is None else np.asarray(orientation, dtype=float)
@@ -228,11 +236,26 @@ def sample_sa2(
     b = b + R.T @ env.earth_field_ut
     for spec, position in env.neighbors:
         b = b + cylinder_flux(spec, -np.asarray(position, dtype=float))
+    return b
+
+
+def _quantize_flux(b: np.ndarray, step_ut: float) -> np.ndarray:
+    """Round flux to the ADC step (no rounding when the step is 0)."""
+    return np.rint(b / step_ut) * step_ut if step_ut > 0.0 else b
+
+
+def sample_sa2(
+    stimulus: ContactStimulus,
+    magnet: MagnetSpec,
+    elastomer: ElastomerSpec,
+    env: Environment,
+    orientation=None,
+) -> np.ndarray:
+    """Three-axis flux sample (uT): noise-free field plus noise, quantised."""
+    b = _sa2_field(stimulus, magnet, elastomer, env, orientation)
     if env.sa2_noise_ut > 0.0:
         b = b + env.rng.normal(0.0, env.sa2_noise_ut, size=3)
-    if env.quantization_ut > 0.0:
-        b = np.rint(b / env.quantization_ut) * env.quantization_ut
-    return b
+    return _quantize_flux(b, env.quantization_ut)
 
 
 def rest_flux(magnet: MagnetSpec, elastomer: ElastomerSpec) -> np.ndarray:
@@ -276,12 +299,39 @@ class TactileSensor:
         self.env = env if env is not None else Environment()
         self.finger_id = finger_id
 
+    def sample_block(self, stimulus: ContactStimulus, n: int, orientation=None):
+        """``n`` consecutive frames of one held stimulus.
+
+        Returns ``(n, 16)`` integer counts and ``(n, 3)`` float32 flux (uT).
+        The noise-free response is computed once; the noise of all ``n``
+        frames is one draw whose row *i* holds frame *i*'s draws in the
+        per-frame order (16 taxels, then 3 flux axes; a source that is off
+        draws nothing), so the block equals ``n`` calls of ``sample`` bit for
+        bit and leaves the RNG in the same state.
+        """
+        env = self.env
+        reading = _fa1_reading(stimulus, self.elastomer).reshape(1, 16).repeat(n, axis=0)
+        b = _sa2_field(stimulus, self.magnet, self.elastomer, env, orientation)
+        b = b.reshape(1, 3).repeat(n, axis=0)
+        fa1_on, sa2_on = env.fa1_noise_counts > 0.0, env.sa2_noise_ut > 0.0
+        scale = [env.fa1_noise_counts] * (16 if fa1_on else 0)
+        scale += [env.sa2_noise_ut] * (3 if sa2_on else 0)
+        if scale:
+            # rng.normal(0.0, scale, size=(n, k)) element by element: numpy
+            # computes loc + scale * z.  Its broadcasting path for an array
+            # scale is ~3x slower on the one-frame blocks the closed loop draws.
+            noise = 0.0 + np.array(scale) * env.rng.standard_normal((n, len(scale)))
+            if fa1_on:
+                reading = reading + noise[:, :16]
+            if sa2_on:
+                b = b + noise[:, -3:]
+        return _fa1_counts(reading), _quantize_flux(b, env.quantization_ut).astype(np.float32)
+
     def sample(self, stimulus: ContactStimulus, timestamp_us: int, orientation=None) -> TactileFrame:
-        fa1 = sample_fa1(stimulus, self.elastomer, self.env)
-        sa2 = sample_sa2(stimulus, self.magnet, self.elastomer, self.env, orientation)
+        counts, flux = self.sample_block(stimulus, 1, orientation)
         return TactileFrame(
             timestamp_us=timestamp_us,
             finger_id=self.finger_id,
-            fa1=fa1.counts,
-            sa2=np.asarray(sa2, dtype=np.float32),
+            fa1=counts.reshape(FA1_SHAPE),
+            sa2=flux[0],
         )

@@ -207,6 +207,20 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     assert "RankDeficientFit" in capsys.readouterr().err
 
 
+def test_disturbance_with_nothing_to_recover_is_exit_one(tmp_path, capsys):
+    # noise off and no earth field: the measured disturbance is exactly 0
+    overrides = [
+        "noise.fa1_sigma_counts=0",
+        "noise.sa2_sigma_ut=0",
+        "noise.quantization_ut=0",
+        "environment.earth_field_ut=0,0,0",
+    ]
+    code = main(["disturbance", "--out", str(tmp_path)] + [a for o in overrides for a in ("--set", o)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: InvalidSignal: no disturbance to recover" in err and "Traceback" not in err
+
+
 def test_cli_snr_sweep_writes_stamped_csv(tmp_path, capsys):
     out = tmp_path / "a"
     assert main(["snr-sweep", "--out", str(out), "--seed", "7"]) == 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tacsim import magnets
 from tacsim.errors import NoConvergence, OffsetTooSmall
 from tacsim.magnets import (
+    FLUX_CACHE_SIZE,
     MARKER_CANDIDATES,
     MagnetSpec,
     build_marker_set,
@@ -77,6 +79,28 @@ def test_too_close_offset_rejected():
         dipole_flux(mag, (0.0, 0.0, 0.4))
     with pytest.raises(OffsetTooSmall):
         cylinder_flux(mag, (0.0, 0.0, 0.3))
+
+
+def test_cylinder_flux_memo_is_exact_read_only_and_bounded(rng):
+    mag = MagnetSpec(moment_a_m2=4.4e-4)
+    uncached = magnets._cylinder_flux.__wrapped__
+    offsets = [rng.uniform(-6.0, 6.0, size=3) + (0.0, 0.0, -4.0) for _ in range(40)]
+    offsets += [(0.0, 0.0, -3.0), (-0.0, 0.0, -3.0), (0.0, -0.0, -3.0), (-0.0, -0.0, -3.5)]
+    offsets += [(1.0, -0.0, -3.0), (-0.0, 2.5, -3.0)]
+    for offset in offsets:
+        want = uncached(mag, np.asarray(offset, dtype=float).tobytes())
+        for _ in range(2):  # a miss, then a hit
+            got = cylinder_flux(mag, offset)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+    for _ in range(2):  # failures are not cached
+        with pytest.raises(OffsetTooSmall):
+            cylinder_flux(mag, (0.0, 0.0, 0.3))
+    for i in range(FLUX_CACHE_SIZE + 50):
+        cylinder_flux(mag, (0.0, 1e-3 * i, -3.0))
+    assert magnets._cylinder_flux.cache_info().currsize <= FLUX_CACHE_SIZE
 
 
 def test_magnet_spec_rejects_nonpositive_dimensions():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tacsim.config import load_config
 from tacsim.errors import InsufficientSamples, MalformedRecord
+from tacsim.experiments import _Rig, _sensors
 from tacsim.pipeline import (
     CSV_HEADER,
     RECORD_SIZE,
@@ -20,6 +22,7 @@ from tacsim.pipeline import (
     subtract_baseline,
     write_frames_csv,
 )
+from tacsim.rotations import rot_x, rot_y
 from tacsim.sensor import ContactStimulus, Environment, TactileSensor
 
 
@@ -135,6 +138,51 @@ def test_white_noise_is_attenuated_by_sqrt_window(rng):
     x = rng.normal(0.0, sigma, size=100_000)
     y = moving_average(x, 6)[6:]
     assert np.std(y) == pytest.approx(sigma / np.sqrt(6.0), rel=0.10)
+
+
+@pytest.mark.parametrize("window", [1, 6, 8, 50])
+def test_array_moving_average_matches_the_streaming_filter(window, rng):
+    # frame-shaped rows (19 channels) spanning twelve decades, so any change
+    # in summation order shows in the last bits; 8 is where a pairwise sum
+    # would start
+    x = rng.normal(size=(120, 19)) * 10.0 ** rng.integers(-6, 6, size=(120, 19))
+    ma = MovingAverage(window)
+    want = np.array([ma.update(v) for v in x])
+    got = moving_average(x, window)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("tail", [1, 10])
+@pytest.mark.parametrize("window", [1, 6, 8, 50])
+def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
+    cfg = load_config(overrides=[f"stream.ma_window={window}"])
+    idle = ContactStimulus(location_mm=(4.5, 8.0))
+    schedule = [
+        (ContactStimulus(location_mm=(4.5, 8.0), force_n=(fx, -0.1, fz)), pose)
+        for fx, fz, pose in [
+            (0.0, 0.5, None), (0.2, 1.0, rot_x(0.8)), (0.0, 1.0, None), (-0.3, 2.0, None),
+            (0.0, 0.0, rot_y(-0.6)), (0.1, 1.5, None), (0.0, 0.25, None), (0.0, 0.0, None),
+        ]
+    ]
+    dwell = 10
+
+    (sensor,) = _sensors(cfg)
+    rig = _Rig(cfg, sensor)
+    rig.prime(idle)
+    got = [rig.dwell_mean(stimulus, dwell, tail, pose) for stimulus, pose in schedule]
+
+    # oracle: every frame through the streaming front end
+    (sensor,) = _sensors(cfg)
+    proc = StreamProcessor(rig.stream)
+    clock = iter(range(1, 10**6))
+    for _ in range(rig.stream.init_samples):
+        assert proc.process(sensor.sample(idle, next(clock))) is None
+    for (stimulus, pose), (fa1, sa2) in zip(schedule, got):
+        rel = [proc.process(sensor.sample(stimulus, next(clock), pose)) for _ in range(dwell)]
+        want_fa1 = np.mean([r.fa1 for r in rel[-tail:]], axis=0)
+        want_sa2 = np.mean([r.sa2 for r in rel[-tail:]], axis=0)
+        np.testing.assert_array_equal(fa1.view(np.uint64), want_fa1.view(np.uint64))
+        np.testing.assert_array_equal(sa2.view(np.uint64), want_sa2.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,62 @@ def test_sample_produces_valid_frame(elastomer):
     assert frame.sa2.dtype == np.float32
 
 
+NOISE_SWITCHES = [
+    dict(fa1_noise_counts=fa1, sa2_noise_ut=sa2, quantization_ut=q)
+    for fa1 in (0.0, 2.0)
+    for sa2 in (0.0, 1.0)
+    for q in (0.0, 0.15)
+]
+
+
+def _block_sensor(elastomer, noise):
+    """A unit with a rotated pose, a neighbour marker and a nonzero earth field."""
+    m2 = [m for m in build_marker_set(3.0) if m.magnet_id == 2][0]
+    env = Environment(
+        earth_field_ut=(38.031, -7.5, 32.46),
+        orientation=rot_z(0.7) @ rot_x(0.3),
+        neighbors=((m2, (0.0, 16.0, elastomer.sa2_thickness_mm)),),
+        seed=11,
+        **noise,
+    )
+    return TactileSensor(elastomer=elastomer, env=env, finger_id=1)
+
+
+@pytest.mark.parametrize(
+    "noise", NOISE_SWITCHES,
+    ids=["fa1{fa1_noise_counts}-sa2{sa2_noise_ut}-q{quantization_ut}".format(**n)
+         for n in NOISE_SWITCHES],
+)
+def test_sample_block_equals_per_frame_samples(noise, elastomer):
+    stimulus = ContactStimulus(location_mm=(4.5, 8.0), force_n=(0.3, -0.2, 1.4))
+    pose = axis_angle((1.0, -2.0, 0.5), 0.9)
+    n = 25
+    block = _block_sensor(elastomer, noise)
+    counts, flux = block.sample_block(stimulus, n, orientation=pose)
+    assert counts.shape == (n, 16) and counts.dtype.kind == "i"
+    assert flux.shape == (n, 3) and flux.dtype == np.float32
+
+    framed = _block_sensor(elastomer, noise)
+    frames = [framed.sample(stimulus, t + 1, orientation=pose) for t in range(n)]
+    # the per-layer samplers, one frame at a time, are the independent oracle
+    layered = _block_sensor(elastomer, noise)
+    layers = [
+        (
+            sample_fa1(stimulus, elastomer, layered.env).counts,
+            sample_sa2(stimulus, layered.magnet, elastomer, layered.env, pose),
+        )
+        for _ in range(n)
+    ]
+    for want_counts, want_flux, sensor in (
+        (np.array([f.fa1.ravel() for f in frames]), np.array([f.sa2 for f in frames]), framed),
+        (np.array([c.ravel() for c, _ in layers]),
+         np.array([b for _, b in layers], dtype=np.float32), layered),
+    ):
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(flux.view(np.uint32), want_flux.view(np.uint32))
+        assert sensor.env.rng.bit_generator.state == block.env.rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # hysteresis operator
 # ---------------------------------------------------------------------------
