@@ -551,10 +551,13 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     dt_us = int(round(1e6 / s["rate_hz"]))
     n_frames = int(round(s["duration_s"] * s["rate_hz"]))
     # each finger has its own RNG, so one block per finger draws what the
-    # interleaved per-frame loop drew
+    # interleaved per-frame loop drew; sample_block clips every count to the
+    # ADC range, so the frames skip TactileFrame's range check
     blocks = [sensor.sample_block(idle, n_frames) for sensor in sensors]
     frames = [
-        TactileFrame((k + 1) * dt_us, sensor.finger_id, counts[k].reshape(FA1_SHAPE), flux[k])
+        TactileFrame._prechecked(
+            (k + 1) * dt_us, sensor.finger_id, counts[k].reshape(FA1_SHAPE), flux[k]
+        )
         for k in range(n_frames)
         for sensor, (counts, flux) in zip(sensors, blocks)
     ]

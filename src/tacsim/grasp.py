@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
-from .pipeline import StreamConfig, StreamProcessor
+from .pipeline import CHANNELS_PER_FINGER, RelativeFrame, StreamConfig, baseline_from_arrays
 from .sensor import ContactStimulus
 
 
@@ -264,10 +264,28 @@ class GraspTrace:
 
 
 class GraspSimulation:
-    """Ties sensors, pipeline, object, and controller into one loop.
+    """Ties sensors, stream front end, object, and controller into one loop.
 
     ``sensors`` holds the two fingertips, finger *f* at index *f*; they
     carry the physics, the noise and the seeded RNG state.
+
+    ``run`` steps both fingers together on arrays and gives, bit for bit,
+    what a per-tick ``sensor.sample`` -> ``StreamProcessor.process`` loop
+    gives:
+
+    * The gripper idles through the initialization window, so the stimulus
+      is the force at full opening throughout.  Each finger samples the
+      window as one ``sample_block`` (each finger has its own RNG, so these
+      are the per-tick draws), and its tail sets the baseline.
+    * After that each tick's stimulus follows the last decision, so frames
+      come one tick at a time.  The noise-free response of each distinct
+      stimulus is computed once per run and kept; a tick then draws only
+      each finger's noise (``TactileSensor.digitize``).
+    * The moving average keeps the last ``ma_window`` baseline-subtracted
+      frames of both fingers in one ``(ma_window, 2, 19)`` buffer and
+      re-sums it oldest first, the order in which ``MovingAverage`` adds
+      them.  A running sum that subtracts the oldest frame is not
+      bit-identical.
     """
 
     def __init__(
@@ -287,46 +305,62 @@ class GraspSimulation:
         # actuate no faster than the filter settles, else decisions chase a
         # stale signal and overrun the thresholds (StreamConfig keeps it >= 1)
         self.step_interval_ticks = stream.ma_window
-        self.processor = StreamProcessor(stream)
 
     def run(self, max_ticks: int = 2000) -> GraspTrace:
         state = GripperState()
         rows: list[TraceRow] = []
         events: list[tuple[int, str]] = []
+        idle = min(max_ticks, self.stream.init_samples)
+        if idle < 1:
+            return GraspTrace(rows=rows, events=events, state=state)
+
+        # initialization window: the motor idles, so the force is constant
+        force = self._contact_force(state)
+        stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
+        blocks = [sensor.sample_block(stimulus, idle) for sensor in self.sensors]
+        for tick in range(idle):
+            rows += [TraceRow(tick, Phase.IDLE.value, f, 0.0, 0.0, force, "") for f in range(2)]
+        state.tick = idle - 1
+        if idle < self.stream.init_samples:
+            return GraspTrace(rows=rows, events=events, state=state)
+        baselines = [baseline_from_arrays(counts, flux, self.stream) for counts, flux in blocks]
+        baseline = np.array([np.concatenate([b.fa1_mean.ravel(), b.sa2_mean]) for b in baselines])
+
         dt_us = int(round(1e6 / self.stream.sample_rate_hz))
-
-        for tick in range(max_ticks):
+        window = np.zeros((self.stream.ma_window, 2, CHANNELS_PER_FINGER))
+        responses = {}
+        for tick in range(idle, max_ticks):
             state.tick = tick
-            separation = self.geometry.opening_mm - state.travel_mm(self.geometry).sum()
-            force = self.object_model.contact_force(separation)
-            crush = self.object_model.crush_force_n
-            if crush is not None and force > crush:
-                raise CrushDetected(
-                    f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N"
-                )
+            force = self._contact_force(state)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
-            rel = []
-            for sensor in self.sensors:
-                frame = sensor.sample(stimulus, timestamp_us=(tick + 1) * dt_us)
-                rel.append(self.processor.process(frame))
+            if stimulus not in responses:
+                responses[stimulus] = [sensor.response(stimulus) for sensor in self.sensors]
+            window[:-1] = window[1:]
+            for f, (sensor, response) in enumerate(zip(self.sensors, responses[stimulus])):
+                counts, flux = sensor.digitize(response, 1)
+                window[-1, f, :16] = counts[0]
+                window[-1, f, 16:] = flux[0]
+            window[-1] -= baseline
+            filled = min(tick - idle + 1, len(window))
+            smooth = window[-filled:].sum(axis=0) / filled
 
-            if any(r is None for r in rel):
-                signal = np.zeros(2)
-                inc = np.zeros(2, dtype=int)
-                tick_events = []
-            else:
-                if state.phase is Phase.IDLE:
-                    state.phase = Phase.CLOSING
-                    events.append((tick, "closing_start"))
-                signal = np.array([grip_signal(r, self.policy.blend) for r in rel])
-                inc, tick_events = controller_step(
-                    state,
-                    self.policy,
-                    signal,
-                    self.geometry,
-                    self.dt_s,
-                    step_gate=(tick % self.step_interval_ticks == 0),
-                )
+            if state.phase is Phase.IDLE:
+                state.phase = Phase.CLOSING
+                events.append((tick, "closing_start"))
+            timestamp_us = (tick + 1) * dt_us
+            signal = np.array([
+                grip_signal(RelativeFrame(timestamp_us, f, smooth[f, :16], smooth[f, 16:]),
+                            self.policy.blend)
+                for f in range(2)
+            ])
+            inc, tick_events = controller_step(
+                state,
+                self.policy,
+                signal,
+                self.geometry,
+                self.dt_s,
+                step_gate=(tick % self.step_interval_ticks == 0),
+            )
 
             for name in tick_events:
                 events.append((tick, name))
@@ -350,6 +384,17 @@ class GraspSimulation:
                 if tick - self._hold_tick(events) >= self.stream.sample_rate_hz:
                     break
         return GraspTrace(rows=rows, events=events, state=state)
+
+    def _contact_force(self, state: GripperState) -> float:
+        """Object force at the current finger separation; CrushDetected past its limit."""
+        separation = self.geometry.opening_mm - state.travel_mm(self.geometry).sum()
+        force = self.object_model.contact_force(separation)
+        crush = self.object_model.crush_force_n
+        if crush is not None and force > crush:
+            raise CrushDetected(
+                f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N"
+            )
+        return force
 
     @staticmethod
     def _hold_tick(events) -> int:

@@ -64,6 +64,19 @@ class TactileFrame:
             raise ValueError("fa1 counts outside ADC range")
         self.sa2 = np.asarray(self.sa2, dtype=np.float32).reshape(3)
 
+    @classmethod
+    def _prechecked(cls, timestamp_us, finger_id, fa1, sa2):
+        """A frame from values already known valid, without ``__post_init__``'s checks.
+
+        For callers that have range-checked or clipped the counts themselves:
+        ``fa1`` must be a 4x4 integer array of counts in 0..1023 and ``sa2``
+        a ``(3,)`` float32 array.
+        """
+        frame = object.__new__(cls)
+        frame.timestamp_us, frame.finger_id = timestamp_us, finger_id
+        frame.fa1, frame.sa2 = fa1, sa2
+        return frame
+
 
 @dataclass
 class RelativeFrame:
@@ -229,7 +242,9 @@ def _record_frame(fields) -> TactileFrame:
         raise MalformedRecord("counts outside ADC range")
     if not all(map(math.isfinite, sa2)):
         raise MalformedRecord("flux is not finite")
-    return TactileFrame(fields[0], fields[1], np.array(counts).reshape(FA1_SHAPE), np.float32(sa2))
+    return TactileFrame._prechecked(
+        fields[0], fields[1], np.array(counts).reshape(FA1_SHAPE), np.array(sa2, dtype=np.float32)
+    )
 
 
 def decode_frame(record: bytes) -> TactileFrame:

@@ -3,10 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tacsim.errors import GraspFailed, RankDeficientFit
+from tacsim.errors import CrushDetected, GraspFailed, RankDeficientFit
 from tacsim.grasp import (
     Egg,
     GraspSimulation,
+    GraspTrace,
     GripperGeometry,
     GripperState,
     HysteresisPolicy,
@@ -14,12 +15,14 @@ from tacsim.grasp import (
     Phase,
     RigidObject,
     SingleThreshold,
+    TraceRow,
     Tweezers,
     controller_step,
     grip_signal,
     tweezers_linearity_study,
 )
-from tacsim.sensor import Environment, TactileSensor
+from tacsim.pipeline import StreamConfig, StreamProcessor
+from tacsim.sensor import ContactStimulus, Environment, TactileSensor
 
 DT = 1.0 / 250.0
 GEO = GripperGeometry()
@@ -299,3 +302,123 @@ def test_linearity_needs_two_sizes():
 def test_study_flags_unreachable_hold():
     with pytest.raises(GraspFailed):
         tweezers_linearity_study((2.0, 8.0), tweezers_grasp(0, max_ticks=10))
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the frame-by-frame loop
+# ---------------------------------------------------------------------------
+
+def per_frame_run(sim, max_ticks):
+    """The closed loop one frame at a time: ``sensor.sample`` ->
+    ``StreamProcessor.process`` -> ``grip_signal`` -> ``controller_step``
+    for each finger on every tick.  ``GraspSimulation.run`` must match it
+    bit for bit."""
+    processor = StreamProcessor(sim.stream)
+    state = GripperState()
+    rows, events = [], []
+    dt_us = int(round(1e6 / sim.stream.sample_rate_hz))
+    for tick in range(max_ticks):
+        state.tick = tick
+        separation = sim.geometry.opening_mm - state.travel_mm(sim.geometry).sum()
+        force = sim.object_model.contact_force(separation)
+        crush = sim.object_model.crush_force_n
+        if crush is not None and force > crush:
+            raise CrushDetected(f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N")
+        stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
+        rel = [processor.process(sensor.sample(stimulus, timestamp_us=(tick + 1) * dt_us))
+               for sensor in sim.sensors]
+        if any(r is None for r in rel):
+            signal, tick_events = np.zeros(2), []
+        else:
+            if state.phase is Phase.IDLE:
+                state.phase = Phase.CLOSING
+                events.append((tick, "closing_start"))
+            signal = np.array([grip_signal(r, sim.policy.blend) for r in rel])
+            _, tick_events = controller_step(
+                state, sim.policy, signal, sim.geometry, sim.dt_s,
+                step_gate=(tick % sim.stream.ma_window == 0),
+            )
+        events += [(tick, name) for name in tick_events]
+        for f in range(2):
+            rows.append(TraceRow(
+                tick=tick, phase=state.phase.value, finger=f,
+                motor_deg=float(state.motor_deg[f]), signal=float(signal[f]),
+                contact_force_n=force,
+                event=";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
+            ))
+        if state.phase is Phase.DONE:
+            break
+        if state.phase is Phase.HOLDING and not isinstance(sim.policy, HysteresisPolicy):
+            hold = max(t for t, name in events if name == "hold_start")
+            if tick - hold >= sim.stream.sample_rate_hz:
+                break
+    return GraspTrace(rows=rows, events=events, state=state)
+
+
+SHORT_INIT = {"init_samples": 20, "baseline_tail": 5}
+EGG, SINGLE = Egg(), SingleThreshold()
+TWEEZERS, QUICK_HOLD = Tweezers(), HysteresisPolicy(hold_s=0.2)
+
+
+@pytest.mark.parametrize(
+    "obj, policy, stream, noise, max_ticks",
+    [
+        (EGG, SINGLE, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
+        (EGG, SINGLE, StreamConfig(), {}, 3000),
+        (EGG, SINGLE, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
+        (EGG, SINGLE, StreamConfig(ma_window=50, **SHORT_INIT), {}, 3000),
+        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"fa1_noise_counts": 0.0}, 3000),
+        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"sa2_noise_ut": 0.0}, 3000),
+        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"quantization_ut": 0.0}, 3000),
+        (EGG, SINGLE, StreamConfig(**SHORT_INIT), QUIET, 3000),
+        (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 3000),
+        (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
+        (EGG, SINGLE, StreamConfig(), {}, 0),
+        (EGG, SINGLE, StreamConfig(), {}, 120),
+        (EGG, SINGLE, StreamConfig(), {}, 300),
+        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
+    ],
+    ids=[
+        "egg-ma1", "egg-default", "egg-ma8", "egg-ma50",
+        "fa1-noise-off", "sa2-noise-off", "quantization-off", "all-noise-off",
+        "tweezers-hysteresis", "tweezers-hysteresis-ma8",
+        "max-ticks-0", "max-ticks-below-init", "max-ticks-equal-init", "max-ticks-one-past-init",
+    ],
+)
+def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
+    def sim():
+        # the fingers see different earth fields, so each needs its own response
+        sensors = [
+            TactileSensor(env=Environment(seed=(4, f), earth_field_ut=earth, **noise), finger_id=f)
+            for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
+        ]
+        return GraspSimulation(obj, policy, sensors, stream=stream)
+
+    kernel_sim, frame_sim = sim(), sim()
+    kernel, frames = kernel_sim.run(max_ticks), per_frame_run(frame_sim, max_ticks)
+    assert kernel.rows == frames.rows
+    assert kernel.events == frames.events
+    a, b = kernel.state, frames.state
+    assert (a.phase, a.tick, a.hold_elapsed_s) == (b.phase, b.tick, b.hold_elapsed_s)
+    for name in ("motor_deg", "signal", "halted"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for x, y in zip(kernel_sim.sensors, frame_sim.sensors):
+        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "egg, survives_ticks",
+    [(Egg(size_mm=60.0), 0), (Egg(crush_force_n=1.0), 21)],
+    ids=["at-tick-0", "mid-run"],
+)
+def test_kernel_raises_crush_as_the_frame_by_frame_loop_does(egg, survives_ticks):
+    def sim():
+        sensors = [TactileSensor(env=Environment(seed=(4, f)), finger_id=f) for f in range(2)]
+        return GraspSimulation(egg, SINGLE, sensors, stream=StreamConfig(**SHORT_INIT))
+
+    with pytest.raises(CrushDetected) as kernel:
+        sim().run(3000)
+    with pytest.raises(CrushDetected) as frames:
+        per_frame_run(sim(), 3000)
+    assert str(kernel.value) == str(frames.value)
+    assert len(sim().run(survives_ticks).rows) == 2 * survives_ticks

@@ -3,7 +3,7 @@ import pytest
 
 from tacsim.config import load_config
 from tacsim.errors import InsufficientSamples, MalformedRecord
-from tacsim.experiments import _Rig, _sensors
+from tacsim.experiments import _Rig, _sensors, run_stream
 from tacsim.pipeline import (
     CSV_HEADER,
     RECORD_SIZE,
@@ -252,6 +252,29 @@ def test_frame_validation_rejects_out_of_range_counts():
         make_frame(1, value=1024)
     with pytest.raises(ValueError):
         make_frame(1, value=-1)
+
+
+def test_decoded_and_streamed_frames_skip_the_second_range_check(monkeypatch, tmp_path, rng):
+    # the codecs range-check every record themselves and the stream study
+    # clips its counts, so neither pays TactileFrame's own check again
+    frames = [random_frame(rng, i + 1) for i in range(20)]
+    write_frames_csv(frames, tmp_path / "log.csv")
+    checked = []
+    original = TactileFrame.__post_init__
+    monkeypatch.setattr(TactileFrame, "__post_init__", lambda f: (checked.append(f), original(f)))
+    decoded = (decode_frames(encode_frames(frames)) + read_frames_csv(tmp_path / "log.csv")
+               + [decode_frame(encode_frame(f)) for f in frames])
+    streamed = run_stream(load_config(overrides=["stream.duration_s=0.1"])).frames
+    assert checked == []
+    for frame in decoded + streamed:
+        assert frame.fa1.shape == (4, 4) and frame.fa1.dtype.kind == "i"
+        assert frame.sa2.shape == (3,) and frame.sa2.dtype == np.float32
+    for a, b in zip(frames * 3, decoded):
+        assert (a.timestamp_us, a.finger_id) == (b.timestamp_us, b.finger_id)
+        assert np.array_equal(a.fa1, b.fa1) and np.array_equal(a.sa2, b.sa2)
+    with pytest.raises(ValueError):
+        TactileFrame(1, 0, np.full((4, 4), 1024), np.zeros(3, dtype=np.float32))
+    assert len(checked) == 1
 
 
 # ---------------------------------------------------------------------------
