@@ -2,11 +2,12 @@
 
     tacsim <command> [--config FILE] [--out DIR] [--seed N] [--set sec.key=v]...
 
-Exit codes: 0 success, 2 configuration problem, 1 runtime failure.
+Exit codes: 0 success, 2 configuration problem or unusable --out, 1 runtime failure.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import dump_default_config, load_config
 from .errors import ConfigError, TacsimError
@@ -55,6 +56,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
         result = COMMANDS[args.command](cfg, args.out)

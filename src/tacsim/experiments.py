@@ -45,13 +45,11 @@ from .grasp import (
 )
 from .magnets import default_magnet, effective_signal
 from .pipeline import (
-    CHANNELS_PER_FINGER,
     FA1_SHAPE,
+    FrontEnd,
     StreamConfig,
     TactileFrame,
-    baseline_from_arrays,
     encode_frames,
-    moving_average,
     write_frames_csv,
 )
 from .rotations import rot_x, rot_y
@@ -112,40 +110,6 @@ def _stream_config(cfg: Config) -> StreamConfig:
     )
 
 
-class _Rig:
-    """One sensor on the stream front end: baseline from the init window, then smoothing.
-
-    Each held stimulus is sampled as one block and filtered as arrays.  The
-    last ``ma_window - 1`` baseline-subtracted rows are carried from one
-    dwell to the next, so the moving average runs on as it would frame by
-    frame through a ``StreamProcessor``.
-    """
-
-    def __init__(self, cfg: Config, sensor: TactileSensor):
-        self.stream = _stream_config(cfg)
-        self.sensor = sensor
-        self.baseline = None
-        self.history = np.empty((0, CHANNELS_PER_FINGER))
-
-    def prime(self, idle: ContactStimulus, orientation=None):
-        """Run the initialization window on the idle stimulus to set the baseline."""
-        counts, flux = self.sensor.sample_block(idle, self.stream.init_samples, orientation)
-        self.baseline = baseline_from_arrays(counts, flux, self.stream)
-
-    def dwell_mean(self, stimulus: ContactStimulus, dwell: int, tail: int, orientation=None):
-        """Hold a stimulus for ``dwell`` frames; mean taxels and flux of the last ``tail``."""
-        counts, flux = self.sensor.sample_block(stimulus, dwell, orientation)
-        rel = np.hstack([
-            counts.astype(float) - self.baseline.fa1_mean.ravel(),
-            flux.astype(float) - self.baseline.sa2_mean,
-        ])
-        rows = np.concatenate([self.history, rel])
-        self.history = rows[max(len(rows) - self.stream.ma_window + 1, 0):]
-        smooth = moving_average(rows, self.stream.ma_window)[-min(dwell, tail):]
-        fa1 = np.mean(smooth[:, :16].reshape(-1, *FA1_SHAPE), axis=0)
-        return fa1, np.mean(smooth[:, 16:], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # characterization + calibration
 # ---------------------------------------------------------------------------
@@ -185,20 +149,20 @@ def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) ->
     for fy in shear_grid:
         schedule.append((0.0, float(fy), ch["shear_hold_n"]))
 
-    rig = _Rig(cfg, sensor)
-    rig.prime(ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe))
+    idle = ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe)
+    front = FrontEnd(sensor, _stream_config(cfg), idle)
 
     cop = pressure_centroid(location, probe)
     samples = []
     for force in schedule:
         stimulus = ContactStimulus(location_mm=location, force_n=force, probe_radius_mm=probe)
-        fa1, sa2 = rig.dwell_mean(stimulus, ch["dwell_frames"], ch["tail_frames"])
+        mean = front.hold(stimulus, ch["dwell_frames"])[-ch["tail_frames"]:].mean(axis=0)
         samples.append(
             SweepSample(
                 force_true_n=np.array(force),
                 location_true_mm=cop.copy(),
-                fa1_rel=fa1,
-                sa2_rel=sa2,
+                fa1_rel=mean[:16].reshape(FA1_SHAPE),
+                sa2_rel=mean[16:],
             )
         )
     return CharacterizationSweep(location_label=label, samples=samples)
@@ -332,7 +296,6 @@ class DisturbanceResult:
 def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     """Rotation disturbance, earth-field fit, and cancellation payoff."""
     (sensor,) = _sensors(cfg)
-    rig = _Rig(cfg, sensor)
     d = cfg.section("disturbance")
     angle = np.deg2rad(d["rotation_deg"])
     repeats = d["repeats"]
@@ -340,10 +303,12 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     reference = np.eye(3)
     disturb_pose = rot_x(angle)
-    rig.prime(idle, reference)
+    front = FrontEnd(sensor, _stream_config(cfg), idle, reference)
 
     def measure(orientation):
-        return rig.dwell_mean(idle, d["dwell_frames"], d["tail_frames"], orientation)[1]
+        """Mean flux over the tail of one dwell at ``orientation``."""
+        rows = front.hold(idle, d["dwell_frames"], orientation)
+        return rows[-d["tail_frames"]:, 16:].mean(axis=0)
 
     # phase 1: uncompensated disturbance
     pre = []

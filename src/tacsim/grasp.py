@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
-from .pipeline import CHANNELS_PER_FINGER, RelativeFrame, StreamConfig, baseline_from_arrays
+from .pipeline import FrontEnd, RelativeFrame, StreamConfig
 from .sensor import ContactStimulus
 
 
@@ -269,23 +269,20 @@ class GraspSimulation:
     ``sensors`` holds the two fingertips, finger *f* at index *f*; they
     carry the physics, the noise and the seeded RNG state.
 
-    ``run`` steps both fingers together on arrays and gives, bit for bit,
-    what a per-tick ``sensor.sample`` -> ``StreamProcessor.process`` loop
-    gives:
+    ``run`` gives, bit for bit, what a per-tick ``sensor.sample`` ->
+    ``StreamProcessor.process`` loop gives, but samples and filters each
+    stretch of constant stimulus as one block per finger:
 
     * The gripper idles through the initialization window, so the stimulus
-      is the force at full opening throughout.  Each finger samples the
-      window as one ``sample_block`` (each finger has its own RNG, so these
-      are the per-tick draws), and its tail sets the baseline.
-    * After that each tick's stimulus follows the last decision, so frames
-      come one tick at a time.  The noise-free response of each distinct
-      stimulus is computed once per run and kept; a tick then draws only
-      each finger's noise (``TactileSensor.digitize``).
-    * The moving average keeps the last ``ma_window`` baseline-subtracted
-      frames of both fingers in one ``(ma_window, 2, 19)`` buffer and
-      re-sums it oldest first, the order in which ``MovingAverage`` adds
-      them.  A running sum that subtracts the oldest frame is not
-      bit-identical.
+      is the force at full opening throughout; each finger's ``FrontEnd``
+      samples the window as one block and sets its baseline.
+    * After that the motor moves only on gated ticks (``tick % ma_window ==
+      0``), so the stimulus holds from the tick after one gate through the
+      next gate.  Each such segment is one ``FrontEnd.hold`` per finger
+      (each finger has its own RNG, so these are the per-tick draws); only
+      the grip signal, the controller and the trace run per tick.
+    * A segment also ends at ``max_ticks`` and at the single-threshold
+      cut-off, where the loop stops, so no frame past the last tick is drawn.
     """
 
     def __init__(
@@ -308,64 +305,52 @@ class GraspSimulation:
 
     def run(self, max_ticks: int = 2000) -> GraspTrace:
         state = GripperState()
-        rows: list[TraceRow] = []
-        events: list[tuple[int, str]] = []
+        trace = GraspTrace(rows=[], events=[], state=state)
+        rows, events = trace.rows, trace.events
         idle = min(max_ticks, self.stream.init_samples)
         if idle < 1:
-            return GraspTrace(rows=rows, events=events, state=state)
+            return trace
 
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
         stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
-        blocks = [sensor.sample_block(stimulus, idle) for sensor in self.sensors]
         for tick in range(idle):
             rows += [TraceRow(tick, Phase.IDLE.value, f, 0.0, 0.0, force, "") for f in range(2)]
         state.tick = idle - 1
         if idle < self.stream.init_samples:
-            return GraspTrace(rows=rows, events=events, state=state)
-        baselines = [baseline_from_arrays(counts, flux, self.stream) for counts, flux in blocks]
-        baseline = np.array([np.concatenate([b.fa1_mean.ravel(), b.sa2_mean]) for b in baselines])
+            for sensor in self.sensors:
+                sensor.sample_block(stimulus, idle)
+            return trace
+        fronts = [FrontEnd(sensor, self.stream, stimulus) for sensor in self.sensors]
 
         dt_us = int(round(1e6 / self.stream.sample_rate_hz))
-        window = np.zeros((self.stream.ma_window, 2, CHANNELS_PER_FINGER))
-        responses = {}
-        for tick in range(idle, max_ticks):
-            state.tick = tick
+        gate = self.step_interval_ticks
+        single = not isinstance(self.policy, HysteresisPolicy)
+        start = idle
+        while start < max_ticks:
             force = self._contact_force(state)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
-            if stimulus not in responses:
-                responses[stimulus] = [sensor.response(stimulus) for sensor in self.sensors]
-            window[:-1] = window[1:]
-            for f, (sensor, response) in enumerate(zip(self.sensors, responses[stimulus])):
-                counts, flux = sensor.digitize(response, 1)
-                window[-1, f, :16] = counts[0]
-                window[-1, f, 16:] = flux[0]
-            window[-1] -= baseline
-            filled = min(tick - idle + 1, len(window))
-            smooth = window[-filled:].sum(axis=0) / filled
+            end = min(-(-start // gate) * gate, max_ticks - 1)  # the next gated tick
+            if single and state.phase is Phase.HOLDING:
+                end = min(end, self._hold_tick(events) + self.stream.sample_rate_hz)
+            smooth = [front.hold(stimulus, end - start + 1) for front in fronts]
 
-            if state.phase is Phase.IDLE:
-                state.phase = Phase.CLOSING
-                events.append((tick, "closing_start"))
-            timestamp_us = (tick + 1) * dt_us
-            signal = np.array([
-                grip_signal(RelativeFrame(timestamp_us, f, smooth[f, :16], smooth[f, 16:]),
-                            self.policy.blend)
-                for f in range(2)
-            ])
-            inc, tick_events = controller_step(
-                state,
-                self.policy,
-                signal,
-                self.geometry,
-                self.dt_s,
-                step_gate=(tick % self.step_interval_ticks == 0),
-            )
-
-            for name in tick_events:
-                events.append((tick, name))
-            for f in range(2):
-                rows.append(
+            for tick, rel in zip(range(start, end + 1), zip(*smooth)):
+                state.tick = tick
+                if state.phase is Phase.IDLE:
+                    state.phase = Phase.CLOSING
+                    events.append((tick, "closing_start"))
+                timestamp_us = (tick + 1) * dt_us
+                signal = np.array([
+                    grip_signal(RelativeFrame(timestamp_us, f, r[:16], r[16:]), self.policy.blend)
+                    for f, r in enumerate(rel)
+                ])
+                _, tick_events = controller_step(
+                    state, self.policy, signal, self.geometry, self.dt_s,
+                    step_gate=(tick % gate == 0),
+                )
+                events += [(tick, name) for name in tick_events]
+                rows += [
                     TraceRow(
                         tick=tick,
                         phase=state.phase.value,
@@ -375,15 +360,18 @@ class GraspSimulation:
                         contact_force_n=force,
                         event=";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
                     )
-                )
-            if state.phase is Phase.DONE:
-                break
-            if state.phase is Phase.HOLDING and not isinstance(self.policy, HysteresisPolicy):
+                    for f in range(2)
+                ]
+                if state.phase is Phase.DONE:
+                    return trace
                 # single-threshold holds indefinitely; a short settled window
                 # is enough evidence for the study
-                if tick - self._hold_tick(events) >= self.stream.sample_rate_hz:
-                    break
-        return GraspTrace(rows=rows, events=events, state=state)
+                if single and state.phase is Phase.HOLDING and (
+                    tick - self._hold_tick(events) >= self.stream.sample_rate_hz
+                ):
+                    return trace
+            start = end + 1
+        return trace
 
     def _contact_force(self, state: GripperState) -> float:
         """Object force at the current finger separation; CrushDetected past its limit."""

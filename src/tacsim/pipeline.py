@@ -3,6 +3,11 @@
 The processing order is fixed: subtract the stored baseline first, then
 smooth with the causal moving average.  Baselines come from the tail of the
 initialization window (the sensor must be idle while it runs).
+
+Every study that filters frames runs this chain through ``FrontEnd``, which
+takes one held stimulus at a time as an array block.  ``StreamProcessor``
+runs it one frame at a time; it is the oracle that ``FrontEnd`` matches bit
+for bit.
 """
 
 import csv
@@ -39,6 +44,8 @@ class StreamConfig:
     ma_window: int = 6
 
     def __post_init__(self):
+        if self.baseline_tail < 1:
+            raise ValueError("baseline tail must be >= 1")
         if self.baseline_tail > self.init_samples:
             raise ValueError("baseline tail cannot exceed the initialization length")
         if self.ma_window < 1:
@@ -176,6 +183,37 @@ def moving_average(values, window: int) -> np.ndarray:
     total = np.concatenate([np.cumsum(x[: len(x) - full], axis=0), total])
     count = np.minimum(np.arange(1, len(x) + 1), window)
     return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+class FrontEnd:
+    """One sensor on the stream front end, fed one held stimulus at a time.
+
+    The constructor samples the initialization window on the ``idle``
+    stimulus as one block and takes the baseline from its tail.  Each
+    ``hold`` samples a block, subtracts the baseline and runs the moving
+    average on over the last ``ma_window - 1`` rows of the previous hold,
+    so the rows equal, bit for bit, what a ``StreamProcessor`` gives frame
+    by frame.  ``sensor`` is anything with a ``sample_block`` method.
+    """
+
+    def __init__(self, sensor, config: StreamConfig, idle, orientation=None):
+        self.sensor = sensor
+        self.config = config
+        counts, flux = sensor.sample_block(idle, config.init_samples, orientation)
+        b = baseline_from_arrays(counts, flux, config)
+        self.baseline = np.concatenate([b.fa1_mean.ravel(), b.sa2_mean])
+        self._history = np.empty((0, CHANNELS_PER_FINGER))
+
+    def hold(self, stimulus, n: int, orientation=None) -> np.ndarray:
+        """Hold ``stimulus`` for ``n`` frames; their ``(n, 19)`` filtered rows.
+
+        Each row is 16 taxels (row-major) then 3 flux axes, baseline-subtracted
+        and smoothed.
+        """
+        counts, flux = self.sensor.sample_block(stimulus, n, orientation)
+        rows = np.concatenate([self._history, np.hstack([counts, flux]) - self.baseline])
+        self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):]
+        return moving_average(rows, self.config.ma_window)[len(rows) - n:]
 
 
 class StreamProcessor:

@@ -309,24 +309,9 @@ class TactileSensor:
         draws nothing), so the block equals ``n`` calls of ``sample`` bit for
         bit and leaves the RNG in the same state.
         """
-        return self.digitize(self.response(stimulus, orientation), n)
-
-    def response(self, stimulus: ContactStimulus, orientation=None):
-        """Noise-free ``(16,)`` taxel reading (counts, unrounded) and ``(3,)`` flux (uT)."""
-        return (
-            _fa1_reading(stimulus, self.elastomer).ravel(),
-            _sa2_field(stimulus, self.magnet, self.elastomer, self.env, orientation),
-        )
-
-    def digitize(self, response, n: int):
-        """``n`` frames of a held ``response``: add noise, round and clip, quantise.
-
-        The second half of ``sample_block``; a caller that keeps the
-        response of a repeated stimulus pays only this part.
-        """
         env = self.env
-        reading, b = response
-        reading = reading.reshape(1, 16).repeat(n, axis=0)
+        reading = _fa1_reading(stimulus, self.elastomer).reshape(1, 16).repeat(n, axis=0)
+        b = _sa2_field(stimulus, self.magnet, self.elastomer, env, orientation)
         b = b.reshape(1, 3).repeat(n, axis=0)
         fa1_on, sa2_on = env.fa1_noise_counts > 0.0, env.sa2_noise_ut > 0.0
         scale = [env.fa1_noise_counts] * (16 if fa1_on else 0)
@@ -334,7 +319,7 @@ class TactileSensor:
         if scale:
             # rng.normal(0.0, scale, size=(n, k)) element by element: numpy
             # computes loc + scale * z.  Its broadcasting path for an array
-            # scale is ~3x slower on the one-frame blocks the closed loop draws.
+            # scale is ~3x slower on short blocks.
             noise = 0.0 + np.array(scale) * env.rng.standard_normal((n, len(scale)))
             if fa1_on:
                 reading = reading + noise[:, :16]

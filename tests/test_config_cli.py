@@ -185,6 +185,16 @@ def test_bad_value_exits_two_before_the_study(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_is_not_a_directory_exits_two(out, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["snr-sweep", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert f"output error: cannot create directory {tmp_path / out}" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     code = main(
         [

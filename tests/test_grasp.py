@@ -377,17 +377,19 @@ TWEEZERS, QUICK_HOLD = Tweezers(), HysteresisPolicy(hold_s=0.2)
         (EGG, SINGLE, StreamConfig(), {}, 120),
         (EGG, SINGLE, StreamConfig(), {}, 300),
         (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
+        (EGG, SINGLE, StreamConfig(), {}, 400),
     ],
     ids=[
         "egg-ma1", "egg-default", "egg-ma8", "egg-ma50",
         "fa1-noise-off", "sa2-noise-off", "quantization-off", "all-noise-off",
         "tweezers-hysteresis", "tweezers-hysteresis-ma8",
         "max-ticks-0", "max-ticks-below-init", "max-ticks-equal-init", "max-ticks-one-past-init",
+        "max-ticks-mid-segment",
     ],
 )
 def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
     def sim():
-        # the fingers see different earth fields, so each needs its own response
+        # the fingers see different earth fields, so their flux differs
         sensors = [
             TactileSensor(env=Environment(seed=(4, f), earth_field_ut=earth, **noise), finger_id=f)
             for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])

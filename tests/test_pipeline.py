@@ -3,11 +3,12 @@ import pytest
 
 from tacsim.config import load_config
 from tacsim.errors import InsufficientSamples, MalformedRecord
-from tacsim.experiments import _Rig, _sensors, run_stream
+from tacsim.experiments import _sensors, _stream_config, run_stream
 from tacsim.pipeline import (
     CSV_HEADER,
     RECORD_SIZE,
     Baseline,
+    FrontEnd,
     MovingAverage,
     StreamConfig,
     StreamProcessor,
@@ -80,6 +81,8 @@ def test_stream_config_validation():
         StreamConfig(init_samples=50, baseline_tail=100)
     with pytest.raises(ValueError):
         StreamConfig(ma_window=0)
+    with pytest.raises(ValueError):
+        StreamConfig(init_samples=5, baseline_tail=0)
 
 
 def test_subtracting_own_baseline_zeroes_the_frame():
@@ -167,15 +170,17 @@ def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
     dwell = 10
 
     (sensor,) = _sensors(cfg)
-    rig = _Rig(cfg, sensor)
-    rig.prime(idle)
-    got = [rig.dwell_mean(stimulus, dwell, tail, pose) for stimulus, pose in schedule]
+    front = FrontEnd(sensor, _stream_config(cfg), idle)
+    got = []
+    for stimulus, pose in schedule:
+        mean = front.hold(stimulus, dwell, pose)[-tail:].mean(axis=0)
+        got.append((mean[:16].reshape(4, 4), mean[16:]))
 
     # oracle: every frame through the streaming front end
     (sensor,) = _sensors(cfg)
-    proc = StreamProcessor(rig.stream)
+    proc = StreamProcessor(front.config)
     clock = iter(range(1, 10**6))
-    for _ in range(rig.stream.init_samples):
+    for _ in range(front.config.init_samples):
         assert proc.process(sensor.sample(idle, next(clock))) is None
     for (stimulus, pose), (fa1, sa2) in zip(schedule, got):
         rel = [proc.process(sensor.sample(stimulus, next(clock), pose)) for _ in range(dwell)]
