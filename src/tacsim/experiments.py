@@ -46,9 +46,9 @@ from .grasp import (
 from .magnets import default_magnet, effective_signal
 from .pipeline import (
     FA1_SHAPE,
+    FRAME_DTYPE,
     FrontEnd,
     StreamConfig,
-    TactileFrame,
     encode_frames,
     write_frames_csv,
 )
@@ -503,7 +503,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 
 @dataclass
 class StreamResult:
-    frames: list
+    frames: np.recarray  # FRAME_DTYPE records, interleaved by finger
     out_files: list
 
 
@@ -516,16 +516,15 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     dt_us = int(round(1e6 / s["rate_hz"]))
     n_frames = int(round(s["duration_s"] * s["rate_hz"]))
     # each finger has its own RNG, so one block per finger draws what the
-    # interleaved per-frame loop drew; sample_block clips every count to the
-    # ADC range, so the frames skip TactileFrame's range check
-    blocks = [sensor.sample_block(idle, n_frames) for sensor in sensors]
-    frames = [
-        TactileFrame._prechecked(
-            (k + 1) * dt_us, sensor.finger_id, counts[k].reshape(FA1_SHAPE), flux[k]
-        )
-        for k in range(n_frames)
-        for sensor, (counts, flux) in zip(sensors, blocks)
-    ]
+    # interleaved per-frame loop drew; row k holds every finger's frame k
+    records = np.recarray((n_frames, len(sensors)), FRAME_DTYPE)
+    records.timestamp_us = dt_us * np.arange(1, n_frames + 1)[:, None]
+    for j, sensor in enumerate(sensors):
+        counts, flux = sensor.sample_block(idle, n_frames)
+        records.finger_id[:, j] = sensor.finger_id
+        records.fa1[:, j] = counts.reshape((n_frames,) + FA1_SHAPE)
+        records.sa2[:, j] = flux
+    frames = records.ravel()
 
     out_files = []
     if out_dir is not None:

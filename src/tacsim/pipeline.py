@@ -8,13 +8,15 @@ Every study that filters frames runs this chain through ``FrontEnd``, which
 takes one held stimulus at a time as an array block.  ``StreamProcessor``
 runs it one frame at a time; it is the oracle that ``FrontEnd`` matches bit
 for bit.
+
+``FRAME_DTYPE`` is the one raw frame record: ``stream`` fills an array of
+them, the binary codec is their bytes, the CSV log a row per record.  Every
+codec, writer or reader, runs the same ``MalformedRecord`` check.
 """
 
 import csv
-import math
-import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,11 @@ ADC_MAX = 1023
 FA1_SHAPE = (4, 4)
 CHANNELS_PER_FINGER = 19  # 16 taxels + 3 flux axes
 
-# little-endian: int64 timestamp, uint8 finger, 16x uint16 counts, 3x float32 uT
-RECORD_FORMAT = "<qB16H3f"
-RECORD_SIZE = struct.calcsize(RECORD_FORMAT)
+# the 53-byte little-endian record: timestamp, finger, 4x4 counts, 3 flux axes (uT)
+FRAME_DTYPE = np.dtype(
+    [("timestamp_us", "<i8"), ("finger_id", "u1"), ("fa1", "<u2", FA1_SHAPE), ("sa2", "<f4", (3,))]
+)
+RECORD_SIZE = FRAME_DTYPE.itemsize
 
 CSV_HEADER = (
     ["timestamp_us", "finger_id"]
@@ -67,22 +71,11 @@ class TactileFrame:
         self.fa1 = np.asarray(self.fa1)
         if self.fa1.shape != FA1_SHAPE:
             raise ValueError(f"fa1 must be {FA1_SHAPE}, got {self.fa1.shape}")
+        if self.fa1.dtype.kind not in "iu":
+            raise ValueError(f"fa1 counts must be integers, got {self.fa1.dtype}")
         if self.fa1.min() < 0 or self.fa1.max() > ADC_MAX:
             raise ValueError("fa1 counts outside ADC range")
         self.sa2 = np.asarray(self.sa2, dtype=np.float32).reshape(3)
-
-    @classmethod
-    def _prechecked(cls, timestamp_us, finger_id, fa1, sa2):
-        """A frame from values already known valid, without ``__post_init__``'s checks.
-
-        For callers that have range-checked or clipped the counts themselves:
-        ``fa1`` must be a 4x4 integer array of counts in 0..1023 and ``sa2``
-        a ``(3,)`` float32 array.
-        """
-        frame = object.__new__(cls)
-        frame.timestamp_us, frame.finger_id = timestamp_us, finger_id
-        frame.fa1, frame.sa2 = fa1, sa2
-        return frame
 
 
 @dataclass
@@ -265,76 +258,76 @@ class StreamProcessor:
 # codec
 # ---------------------------------------------------------------------------
 
-def encode_frame(frame: TactileFrame) -> bytes:
-    counts = frame.fa1.astype(int).ravel()
-    sa2 = np.asarray(frame.sa2, dtype=np.float32)
-    return struct.pack(
-        RECORD_FORMAT, int(frame.timestamp_us), int(frame.finger_id), *counts, *sa2
-    )
+def _records(timestamp_us, finger_id, fa1, sa2) -> np.recarray:
+    """One record per entry of the field columns; MalformedRecord unless each value fits.
 
-
-def _record_frame(fields) -> TactileFrame:
-    """Frame from a record's 21 fields; MalformedRecord unless counts and flux are in range."""
-    counts, sa2 = fields[2:18], fields[18:21]
-    if min(counts) < 0 or max(counts) > ADC_MAX:
-        raise MalformedRecord("counts outside ADC range")
-    if not all(map(math.isfinite, sa2)):
+    Integer fields are checked before the cast, so nothing wraps around.
+    """
+    records = np.recarray(np.size(timestamp_us), FRAME_DTYPE)
+    for name, values, lo, hi in (("timestamp_us", timestamp_us, -(2**63), 2**63 - 1),
+                                 ("finger_id", finger_id, 0, 255), ("fa1", fa1, 0, ADC_MAX)):
+        values = np.asarray(values).reshape(records[name].shape)
+        integers = values.dtype.kind in "iu"
+        if values.size and not (integers and lo <= values.min() and values.max() <= hi):
+            raise MalformedRecord(f"{name} is not an integer in {lo}..{hi}")
+        records[name] = values
+    records["sa2"] = np.reshape(sa2, (-1, 3))
+    if not np.isfinite(records["sa2"]).all():
         raise MalformedRecord("flux is not finite")
-    return TactileFrame._prechecked(
-        fields[0], fields[1], np.array(counts).reshape(FA1_SHAPE), np.array(sa2, dtype=np.float32)
-    )
+    return records
 
 
-def decode_frame(record: bytes) -> TactileFrame:
-    if len(record) != RECORD_SIZE:
-        raise MalformedRecord(f"record is {len(record)} bytes, expected {RECORD_SIZE}")
-    return _record_frame(struct.unpack(RECORD_FORMAT, record))
+def _as_records(frames) -> np.recarray:
+    """Records (any array with ``FRAME_DTYPE``'s fields) or ``TactileFrame``s, checked."""
+    if isinstance(frames, np.ndarray):
+        return _records(*(frames[name] for name in FRAME_DTYPE.names))
+    frames = list(frames)
+    return _records(*([getattr(f, name) for f in frames] for name in FRAME_DTYPE.names))
 
 
 def encode_frames(frames) -> bytes:
-    return b"".join(encode_frame(f) for f in frames)
+    """The records of ``frames`` (a ``FRAME_DTYPE`` array or ``TactileFrame``s), back to back."""
+    return _as_records(frames).tobytes()
 
 
-def decode_frames(buf: bytes) -> list[TactileFrame]:
+def decode_frames(buf: bytes) -> np.recarray:
     if len(buf) % RECORD_SIZE != 0:
         raise MalformedRecord(
             f"{len(buf)} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
-    return [_record_frame(fields) for fields in struct.iter_unpack(RECORD_FORMAT, buf)]
-
-
-def _format_float(x) -> str:
-    return np.format_float_positional(np.float32(x), unique=True, trim="0")
+    return _as_records(np.frombuffer(buf, FRAME_DTYPE))
 
 
 def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    records = _as_records(frames)
+    n = len(records)
+    # format each distinct float32 bit pattern once; keying on values would
+    # merge -0.0 into +0.0
+    patterns, which = np.unique(records.sa2.view(np.uint32).ravel(), return_inverse=True)
+    texts = np.array([np.format_float_positional(v, unique=True, trim="0")
+                      for v in patterns.view(np.float32)], dtype=object)
+    flux = texts[which.reshape(n, 3)].tolist()
+    rows = np.column_stack([records.timestamp_us, records.finger_id, records.fa1.reshape(n, 16)])
+    with Path(path).open("w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for f in frames:
-            row = (
-                [int(f.timestamp_us), int(f.finger_id)]
-                + [int(v) for v in f.fa1.ravel()]
-                + [_format_float(v) for v in f.sa2]
-            )
-            writer.writerow(row)
+        writer.writerows(row + flux_row for row, flux_row in zip(rows.tolist(), flux))
 
 
-def read_frames_csv(path) -> list[TactileFrame]:
-    frames = []
+def read_frames_csv(path) -> np.recarray:
     with Path(path).open() as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        if next(reader, None) != CSV_HEADER:
-            raise MalformedRecord("unexpected CSV header")
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise MalformedRecord(f"CSV row has {len(row)} fields, expected {len(CSV_HEADER)}")
-            try:
-                fields = [int(v) for v in row[:18]] + [np.float32(v) for v in row[18:]]
-            except ValueError as exc:
-                raise MalformedRecord(f"bad CSV field: {exc}") from None
-            frames.append(_record_frame(fields))
-    return frames
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    if not rows or rows[0] != CSV_HEADER:
+        raise MalformedRecord("unexpected CSV header")
+    for row in rows[1:]:
+        if len(row) != len(CSV_HEADER):
+            raise MalformedRecord(f"CSV row has {len(row)} fields, expected {len(CSV_HEADER)}")
+    try:
+        ints = np.array([list(map(int, row[:18])) for row in rows[1:]]).reshape(-1, 18)
+        with np.errstate(over="ignore"):  # past float32's range reads inf, refused as not finite
+            flux = np.array([list(map(float, row[18:])) for row in rows[1:]]).astype(np.float32)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedRecord(f"bad CSV field: {exc}") from None
+    return _records(ints[:, 0], ints[:, 1], ints[:, 2:], flux)

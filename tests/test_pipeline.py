@@ -6,6 +6,7 @@ from tacsim.errors import InsufficientSamples, MalformedRecord
 from tacsim.experiments import _sensors, _stream_config, run_stream
 from tacsim.pipeline import (
     CSV_HEADER,
+    FRAME_DTYPE,
     RECORD_SIZE,
     Baseline,
     FrontEnd,
@@ -13,9 +14,7 @@ from tacsim.pipeline import (
     StreamConfig,
     StreamProcessor,
     TactileFrame,
-    decode_frame,
     decode_frames,
-    encode_frame,
     encode_frames,
     initialize,
     moving_average,
@@ -43,6 +42,15 @@ def random_frame(rng, t):
         fa1=rng.integers(0, 1024, size=(4, 4)),
         sa2=rng.normal(scale=800.0, size=3).astype(np.float32),
     )
+
+
+def assert_same_frames(got, want):
+    """Field for field, the flux by bit pattern so that a lost sign of zero shows."""
+    for name in FRAME_DTYPE.names:
+        a, b = (np.array([getattr(f, name) for f in frames]) for frames in (got, want))
+        if name == "sa2":
+            a, b = a.astype(np.float32).view(np.uint32), b.astype(np.float32).view(np.uint32)
+        assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 def idle_stream(n, seed=0, start_us=0):
@@ -257,6 +265,10 @@ def test_frame_validation_rejects_out_of_range_counts():
         make_frame(1, value=1024)
     with pytest.raises(ValueError):
         make_frame(1, value=-1)
+    # counts are integers: 3.7 would be truncated by the record, NaN passes a range test
+    for counts in (3.7, np.nan):
+        with pytest.raises(ValueError):
+            TactileFrame(1, 0, np.full((4, 4), counts), np.zeros(3, dtype=np.float32))
 
 
 def test_decoded_and_streamed_frames_skip_the_second_range_check(monkeypatch, tmp_path, rng):
@@ -267,12 +279,13 @@ def test_decoded_and_streamed_frames_skip_the_second_range_check(monkeypatch, tm
     checked = []
     original = TactileFrame.__post_init__
     monkeypatch.setattr(TactileFrame, "__post_init__", lambda f: (checked.append(f), original(f)))
-    decoded = (decode_frames(encode_frames(frames)) + read_frames_csv(tmp_path / "log.csv")
-               + [decode_frame(encode_frame(f)) for f in frames])
-    streamed = run_stream(load_config(overrides=["stream.duration_s=0.1"])).frames
+    decoded = (list(decode_frames(encode_frames(frames)))
+               + list(read_frames_csv(tmp_path / "log.csv"))
+               + [decode_frames(encode_frames([f]))[0] for f in frames])
+    streamed = list(run_stream(load_config(overrides=["stream.duration_s=0.1"])).frames)
     assert checked == []
     for frame in decoded + streamed:
-        assert frame.fa1.shape == (4, 4) and frame.fa1.dtype.kind == "i"
+        assert frame.fa1.shape == (4, 4) and frame.fa1.dtype.kind == "u"
         assert frame.sa2.shape == (3,) and frame.sa2.dtype == np.float32
     for a, b in zip(frames * 3, decoded):
         assert (a.timestamp_us, a.finger_id) == (b.timestamp_us, b.finger_id)
@@ -286,35 +299,88 @@ def test_decoded_and_streamed_frames_skip_the_second_range_check(monkeypatch, tm
 # codec and CSV log
 # ---------------------------------------------------------------------------
 
+def signed_zero_frames(start_us):
+    return [make_frame(start_us + i, sa2=sa2)
+            for i, sa2 in enumerate([(-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)])]
+
+
 def test_record_layout_is_53_bytes():
-    assert RECORD_SIZE == 8 + 1 + 16 * 2 + 3 * 4
-    assert len(encode_frame(make_frame(1))) == RECORD_SIZE
+    assert RECORD_SIZE == FRAME_DTYPE.itemsize == 8 + 1 + 16 * 2 + 3 * 4
+    assert len(encode_frames([make_frame(1)])) == RECORD_SIZE
 
 
 def test_codec_round_trip(rng):
-    for i in range(500):
-        frame = random_frame(rng, i + 1)
-        back = decode_frame(encode_frame(frame))
-        assert back.timestamp_us == frame.timestamp_us
-        assert back.finger_id == frame.finger_id
-        assert np.array_equal(back.fa1, frame.fa1)
-        assert np.array_equal(back.sa2, frame.sa2)
+    frames = [random_frame(rng, i + 1) for i in range(500)] + signed_zero_frames(501)
+    for frame in frames:
+        assert_same_frames(decode_frames(encode_frames([frame])), [frame])
+    assert_same_frames(decode_frames(encode_frames(frames)), frames)
 
 
 def test_truncated_record_rejected():
-    buf = encode_frame(make_frame(1))
+    buf = encode_frames([make_frame(1)])
     with pytest.raises(MalformedRecord):
-        decode_frame(buf[:-1])
+        decode_frames(buf[:-1])
     with pytest.raises(MalformedRecord):
         decode_frames(buf + b"\x00" * 5)
 
 
 def test_record_with_nan_flux_rejected():
-    record = encode_frame(make_frame(1, sa2=(float("nan"), 0.0, 0.0)))
+    record = np.zeros(1, FRAME_DTYPE)
+    record["sa2"][0, 0] = np.nan
     with pytest.raises(MalformedRecord):
-        decode_frame(record)
+        decode_frames(record.tobytes())
     with pytest.raises(MalformedRecord):
-        decode_frames(record)
+        encode_frames(record)
+    with pytest.raises(MalformedRecord):
+        encode_frames([make_frame(1, sa2=(float("nan"), 0.0, 0.0))])
+
+
+@pytest.mark.parametrize(
+    "name, column, value, text",
+    [
+        ("fa1", 2, 3.5, "3.5"),
+        ("fa1", 2, 1024, "1024"),
+        ("fa1", 2, -1, "-1"),
+        ("finger_id", 1, 256, "256"),
+        ("finger_id", 1, -1, "-1"),
+        ("timestamp_us", 0, 2**63, str(2**63)),
+        ("sa2", 18, np.nan, "nan"),
+        ("sa2", 18, np.inf, "inf"),
+    ],
+    ids=["non-integer-count", "count-above-1023", "negative-count", "finger-above-255",
+         "negative-finger", "timestamp-past-int64", "nan-flux", "inf-flux"],
+)
+def test_writers_refuse_what_readers_refuse(tmp_path, name, column, value, text):
+    path = tmp_path / "log.csv"
+    write_frames_csv([make_frame(1, value=3)], path)
+    header, row = path.read_text().splitlines()
+    fields = row.split(",")
+    path.write_text(header + "\n" + ",".join(fields[:column] + [text] + fields[column + 1:]) + "\n")
+    with pytest.raises(MalformedRecord):
+        read_frames_csv(path)
+
+    # the same value, set on a frame after its own checks ran
+    frame = make_frame(1, value=3)
+    if name == "fa1":
+        value = np.full((4, 4), value)
+    elif name == "sa2":
+        value = np.array([value, 0.0, 0.0])
+    setattr(frame, name, value)
+    with pytest.raises(MalformedRecord):
+        encode_frames([frame])
+    with pytest.raises(MalformedRecord):
+        write_frames_csv([frame], tmp_path / "refused.csv")
+    assert not (tmp_path / "refused.csv").exists()
+
+
+@pytest.mark.parametrize("name, value", [("fa1", 1024), ("sa2", np.inf)])
+def test_binary_writer_refuses_what_the_reader_refuses(name, value):
+    record = np.zeros(1, FRAME_DTYPE)
+    record[name].flat[0] = value
+    with pytest.raises(MalformedRecord):
+        decode_frames(record.tobytes())
+    with pytest.raises(MalformedRecord):
+        encode_frames(record)
 
 
 def test_batch_codec_round_trip(rng):
@@ -326,19 +392,22 @@ def test_batch_codec_round_trip(rng):
 
 
 def test_csv_round_trip(tmp_path, rng):
-    frames = [random_frame(rng, i + 1) for i in range(40)]
+    frames = [random_frame(rng, i + 1) for i in range(40)] + signed_zero_frames(41)
     path = tmp_path / "log.csv"
     write_frames_csv(frames, path, header_comment="probe")
     text = path.read_text()
     assert text.splitlines()[0] == "# probe"
     assert text.splitlines()[1] == ",".join(CSV_HEADER)
-    back = read_frames_csv(path)
-    assert len(back) == len(frames)
-    for a, b in zip(frames, back):
-        assert a.timestamp_us == b.timestamp_us
-        assert a.finger_id == b.finger_id
-        assert np.array_equal(a.fa1, b.fa1)
-        assert np.array_equal(a.sa2, b.sa2)
+    assert_same_frames(read_frames_csv(path), frames)
+
+
+def test_stream_files_read_back_as_the_frames_written(tmp_path):
+    # an idle stream's flux includes -0.0, which a value comparison would miss
+    cfg = load_config(overrides=["stream.binary=true", "stream.duration_s=2"])
+    written = run_stream(cfg, tmp_path).frames
+    assert (written.sa2.view(np.uint32) == np.float32(-0.0).view(np.uint32)).any()
+    assert_same_frames(decode_frames((tmp_path / "stream.bin").read_bytes()), written)
+    assert_same_frames(read_frames_csv(tmp_path / "stream.csv"), written)
 
 
 @pytest.mark.parametrize(
