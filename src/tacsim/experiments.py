@@ -150,13 +150,13 @@ def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) ->
         schedule.append((0.0, float(fy), ch["shear_hold_n"]))
 
     idle = ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe)
-    front = FrontEnd(sensor, _stream_config(cfg), idle)
+    front = FrontEnd([sensor], _stream_config(cfg), idle)
 
     cop = pressure_centroid(location, probe)
     samples = []
     for force in schedule:
         stimulus = ContactStimulus(location_mm=location, force_n=force, probe_radius_mm=probe)
-        mean = front.hold(stimulus, ch["dwell_frames"])[-ch["tail_frames"]:].mean(axis=0)
+        mean = front.hold(stimulus, ch["dwell_frames"])[-ch["tail_frames"]:, 0].mean(axis=0)
         samples.append(
             SweepSample(
                 force_true_n=np.array(force),
@@ -303,12 +303,12 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     reference = np.eye(3)
     disturb_pose = rot_x(angle)
-    front = FrontEnd(sensor, _stream_config(cfg), idle, reference)
+    front = FrontEnd([sensor], _stream_config(cfg), idle, reference)
 
     def measure(orientation):
         """Mean flux over the tail of one dwell at ``orientation``."""
         rows = front.hold(idle, d["dwell_frames"], orientation)
-        return rows[-d["tail_frames"]:, 16:].mean(axis=0)
+        return rows[-d["tail_frames"]:, 0, 16:].mean(axis=0)
 
     # phase 1: uncompensated disturbance
     pre = []

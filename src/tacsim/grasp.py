@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
-from .pipeline import FrontEnd, RelativeFrame, StreamConfig
+from .pipeline import FrontEnd, StreamConfig
 from .sensor import ContactStimulus
 
 
@@ -163,11 +163,19 @@ class GripperState:
         return self.motor_deg * geometry.mm_per_deg
 
 
-def grip_signal(rel_frame, blend: float) -> float:
-    """Contact saliency from one filtered relative frame (raw channel units)."""
-    db = np.asarray(rel_frame.sa2, dtype=float)
-    normal = blend * db[2] + (1.0 - blend) * float(np.sum(rel_frame.fa1))
-    return float(np.sqrt(db[0] ** 2 + db[1] ** 2 + normal**2))
+def grip_signal(rel, blend: float) -> np.ndarray:
+    """Contact saliency of ``(..., 19)`` filtered relative rows; shape ``(...)``.
+
+    A row is 16 taxels (row-major) then 3 flux axes, in raw channel units.
+    The squares are ``float_power``, which calls libm ``pow`` as a scalar
+    ``**`` does; an array's ``** 2`` is an exact ``x * x``, which differs
+    from ``pow`` in the last bit for about one value in 1,400, and the
+    recorded traces keep the ``pow`` bits.
+    """
+    rel = np.asarray(rel, dtype=float)
+    normal = blend * rel[..., 18] + (1.0 - blend) * rel[..., :16].sum(axis=-1)
+    shear = np.float_power(rel[..., 16], 2) + np.float_power(rel[..., 17], 2)
+    return np.sqrt(shear + np.float_power(normal, 2))
 
 
 def controller_step(
@@ -229,9 +237,10 @@ def controller_step(
                 state.phase = Phase.DONE
                 events.append("done")
 
-    state.motor_deg = np.clip(
-        state.motor_deg + inc * geometry.increment_deg, 0.0, geometry.max_travel_deg
-    )
+    if inc.any():
+        state.motor_deg = np.clip(
+            state.motor_deg + inc * geometry.increment_deg, 0.0, geometry.max_travel_deg
+        )
     return inc, events
 
 
@@ -274,13 +283,15 @@ class GraspSimulation:
     stretch of constant stimulus as one block per finger:
 
     * The gripper idles through the initialization window, so the stimulus
-      is the force at full opening throughout; each finger's ``FrontEnd``
-      samples the window as one block and sets its baseline.
+      is the force at full opening throughout; one ``FrontEnd`` over both
+      fingers samples the window as one block per finger and sets their
+      baselines.
     * After that the motor moves only on gated ticks (``tick % ma_window ==
       0``), so the stimulus holds from the tick after one gate through the
-      next gate.  Each such segment is one ``FrontEnd.hold`` per finger
-      (each finger has its own RNG, so these are the per-tick draws); only
-      the grip signal, the controller and the trace run per tick.
+      next gate.  Each such segment of ``n`` ticks is one ``FrontEnd.hold``,
+      an ``(n, 2, 19)`` block (each finger has its own RNG, so these are the
+      per-tick draws), and one ``grip_signal`` call on it; only the
+      controller and the trace run per tick.
     * A segment also ends at ``max_ticks`` and at the single-threshold
       cut-off, where the loop stops, so no frame past the last tick is drawn.
     """
@@ -321,9 +332,8 @@ class GraspSimulation:
             for sensor in self.sensors:
                 sensor.sample_block(stimulus, idle)
             return trace
-        fronts = [FrontEnd(sensor, self.stream, stimulus) for sensor in self.sensors]
+        front = FrontEnd(self.sensors, self.stream, stimulus)
 
-        dt_us = int(round(1e6 / self.stream.sample_rate_hz))
         gate = self.step_interval_ticks
         single = not isinstance(self.policy, HysteresisPolicy)
         start = idle
@@ -333,35 +343,22 @@ class GraspSimulation:
             end = min(-(-start // gate) * gate, max_ticks - 1)  # the next gated tick
             if single and state.phase is Phase.HOLDING:
                 end = min(end, self._hold_tick(events) + self.stream.sample_rate_hz)
-            smooth = [front.hold(stimulus, end - start + 1) for front in fronts]
+            signals = grip_signal(front.hold(stimulus, end - start + 1), self.policy.blend)
 
-            for tick, rel in zip(range(start, end + 1), zip(*smooth)):
+            for tick, signal in zip(range(start, end + 1), signals):
                 state.tick = tick
                 if state.phase is Phase.IDLE:
                     state.phase = Phase.CLOSING
                     events.append((tick, "closing_start"))
-                timestamp_us = (tick + 1) * dt_us
-                signal = np.array([
-                    grip_signal(RelativeFrame(timestamp_us, f, r[:16], r[16:]), self.policy.blend)
-                    for f, r in enumerate(rel)
-                ])
                 _, tick_events = controller_step(
                     state, self.policy, signal, self.geometry, self.dt_s,
                     step_gate=(tick % gate == 0),
                 )
                 events += [(tick, name) for name in tick_events]
-                rows += [
-                    TraceRow(
-                        tick=tick,
-                        phase=state.phase.value,
-                        finger=f,
-                        motor_deg=float(state.motor_deg[f]),
-                        signal=float(signal[f]),
-                        contact_force_n=force,
-                        event=";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
-                    )
-                    for f in range(2)
-                ]
+                phase, motors, values = state.phase.value, state.motor_deg.tolist(), signal.tolist()
+                labels = [";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit())
+                          for f in range(2)] if tick_events else ("", "")
+                rows += [TraceRow(tick, phase, f, motors[f], values[f], force, labels[f]) for f in range(2)]
                 if state.phase is Phase.DONE:
                     return trace
                 # single-threshold holds indefinitely; a short settled window

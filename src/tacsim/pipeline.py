@@ -25,7 +25,6 @@ from .errors import InsufficientSamples, MalformedRecord
 
 ADC_MAX = 1023
 FA1_SHAPE = (4, 4)
-CHANNELS_PER_FINGER = 19  # 16 taxels + 3 flux axes
 
 # the 53-byte little-endian record: timestamp, finger, 4x4 counts, 3 flux axes (uT)
 FRAME_DTYPE = np.dtype(
@@ -76,6 +75,8 @@ class TactileFrame:
         if self.fa1.min() < 0 or self.fa1.max() > ADC_MAX:
             raise ValueError("fa1 counts outside ADC range")
         self.sa2 = np.asarray(self.sa2, dtype=np.float32).reshape(3)
+        if not np.isfinite(self.sa2).all():
+            raise ValueError("sa2 flux must be finite")
 
 
 @dataclass
@@ -179,32 +180,34 @@ def moving_average(values, window: int) -> np.ndarray:
 
 
 class FrontEnd:
-    """One sensor on the stream front end, fed one held stimulus at a time.
+    """``k`` sensors on the stream front end, fed one held stimulus at a time.
 
     The constructor samples the initialization window on the ``idle``
-    stimulus as one block and takes the baseline from its tail.  Each
-    ``hold`` samples a block, subtracts the baseline and runs the moving
-    average on over the last ``ma_window - 1`` rows of the previous hold,
-    so the rows equal, bit for bit, what a ``StreamProcessor`` gives frame
-    by frame.  ``sensor`` is anything with a ``sample_block`` method.
+    stimulus as one block per sensor, in list order, and keeps a ``(k, 19)``
+    baseline from their tails.  Each ``hold`` stacks one block per sensor
+    into ``(n, k, 19)``, subtracts the baseline and runs the moving average
+    along axis 0, on over the last ``ma_window - 1`` frames of the previous
+    hold, so sensor *j*'s rows equal, bit for bit, what a ``StreamProcessor``
+    gives frame by frame.  A sensor is anything with a ``sample_block``.
     """
 
-    def __init__(self, sensor, config: StreamConfig, idle, orientation=None):
-        self.sensor = sensor
+    def __init__(self, sensors, config: StreamConfig, idle, orientation=None):
+        self.sensors = sensors
         self.config = config
-        counts, flux = sensor.sample_block(idle, config.init_samples, orientation)
-        b = baseline_from_arrays(counts, flux, config)
-        self.baseline = np.concatenate([b.fa1_mean.ravel(), b.sa2_mean])
-        self._history = np.empty((0, CHANNELS_PER_FINGER))
+        blocks = [sensor.sample_block(idle, config.init_samples, orientation) for sensor in sensors]
+        baselines = [baseline_from_arrays(counts, flux, config) for counts, flux in blocks]
+        self.baseline = np.array([np.concatenate([b.fa1_mean.ravel(), b.sa2_mean]) for b in baselines])
+        self._history = np.empty((0,) + self.baseline.shape)
 
     def hold(self, stimulus, n: int, orientation=None) -> np.ndarray:
-        """Hold ``stimulus`` for ``n`` frames; their ``(n, 19)`` filtered rows.
+        """Hold ``stimulus`` for ``n`` frames; their ``(n, k, 19)`` filtered rows.
 
         Each row is 16 taxels (row-major) then 3 flux axes, baseline-subtracted
         and smoothed.
         """
-        counts, flux = self.sensor.sample_block(stimulus, n, orientation)
-        rows = np.concatenate([self._history, np.hstack([counts, flux]) - self.baseline])
+        parts = [part for sensor in self.sensors for part in sensor.sample_block(stimulus, n, orientation)]
+        block = np.concatenate(parts, axis=1).reshape((n,) + self.baseline.shape)
+        rows = np.concatenate([self._history, block - self.baseline])
         self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):]
         return moving_average(rows, self.config.ma_window)[len(rows) - n:]
 

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from tacsim.grasp import (
     grip_signal,
     tweezers_linearity_study,
 )
-from tacsim.pipeline import StreamConfig, StreamProcessor
+from tacsim.pipeline import RelativeFrame, StreamConfig, StreamProcessor
 from tacsim.sensor import ContactStimulus, Environment, TactileSensor
 
 DT = 1.0 / 250.0
@@ -47,7 +45,15 @@ def tweezers_grasp(seed, max_ticks=2500, **env_kwargs):
 
 
 def rel(fa1_sum=0.0, sa2=(0.0, 0.0, 0.0)):
-    return SimpleNamespace(fa1=np.full((4, 4), fa1_sum / 16.0), sa2=np.asarray(sa2, float))
+    """One (19,) relative row: 16 equal taxels, then the 3 flux axes."""
+    return np.concatenate([np.full(16, fa1_sum / 16.0), sa2])
+
+
+def scalar_grip_signal(rel_frame, blend):
+    """The grip signal as it was written per ``RelativeFrame``, scalar by scalar."""
+    db = np.asarray(rel_frame.sa2, dtype=float)
+    normal = blend * db[2] + (1.0 - blend) * float(np.sum(rel_frame.fa1))
+    return float(np.sqrt(db[0] ** 2 + db[1] ** 2 + normal**2))
 
 
 def closing_state():
@@ -78,6 +84,19 @@ def test_signal_invariant_to_shear_direction(rng):
         frame = rel(fa1_sum=500.0, sa2=(mag * np.cos(theta), mag * np.sin(theta), 40.0))
         base = rel(fa1_sum=500.0, sa2=(mag, 0.0, 40.0))
         assert grip_signal(frame, 0.3) == pytest.approx(grip_signal(base, 0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+def test_grip_signal_rows_match_the_scalar_formula(magnitude):
+    rng = np.random.default_rng(20260814)
+    rows = magnitude * rng.normal(size=(2000, 2, 19))
+    got = grip_signal(rows, 0.3)
+    assert got.shape == (2000, 2)
+    want = np.array([
+        [scalar_grip_signal(RelativeFrame(0, f, r[:16], r[16:]), 0.3) for f, r in enumerate(pair)]
+        for pair in rows
+    ])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,7 @@ def test_study_flags_unreachable_hold():
 
 def per_frame_run(sim, max_ticks):
     """The closed loop one frame at a time: ``sensor.sample`` ->
-    ``StreamProcessor.process`` -> ``grip_signal`` -> ``controller_step``
+    ``StreamProcessor.process`` -> the scalar grip signal -> ``controller_step``
     for each finger on every tick.  ``GraspSimulation.run`` must match it
     bit for bit."""
     processor = StreamProcessor(sim.stream)
@@ -333,7 +352,7 @@ def per_frame_run(sim, max_ticks):
             if state.phase is Phase.IDLE:
                 state.phase = Phase.CLOSING
                 events.append((tick, "closing_start"))
-            signal = np.array([grip_signal(r, sim.policy.blend) for r in rel])
+            signal = np.array([scalar_grip_signal(r, sim.policy.blend) for r in rel])
             _, tick_events = controller_step(
                 state, sim.policy, signal, sim.geometry, sim.dt_s,
                 step_gate=(tick % sim.stream.ma_window == 0),

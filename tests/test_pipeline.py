@@ -178,10 +178,10 @@ def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
     dwell = 10
 
     (sensor,) = _sensors(cfg)
-    front = FrontEnd(sensor, _stream_config(cfg), idle)
+    front = FrontEnd([sensor], _stream_config(cfg), idle)
     got = []
     for stimulus, pose in schedule:
-        mean = front.hold(stimulus, dwell, pose)[-tail:].mean(axis=0)
+        mean = front.hold(stimulus, dwell, pose)[-tail:, 0].mean(axis=0)
         got.append((mean[:16].reshape(4, 4), mean[16:]))
 
     # oracle: every frame through the streaming front end
@@ -196,6 +196,39 @@ def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
         want_sa2 = np.mean([r.sa2 for r in rel[-tail:]], axis=0)
         np.testing.assert_array_equal(fa1.view(np.uint64), want_fa1.view(np.uint64))
         np.testing.assert_array_equal(sa2.view(np.uint64), want_sa2.view(np.uint64))
+
+
+@pytest.mark.parametrize("hold", [1, 10])
+@pytest.mark.parametrize("window", [1, 6, 8, 50])
+def test_front_end_of_two_sensors_matches_one_front_end_each(window, hold):
+    config = StreamConfig(init_samples=20, baseline_tail=5, ma_window=window)
+    idle = ContactStimulus(location_mm=(4.5, 8.0))
+    schedule = [
+        (ContactStimulus(location_mm=(4.5, 8.0), force_n=(fx, -0.1, fz)), pose)
+        for fx, fz, pose in [
+            (0.0, 0.5, None), (0.2, 1.0, rot_x(0.8)), (-0.3, 2.0, None), (0.0, 0.0, rot_y(-0.6)),
+        ] * 4
+    ]
+
+    def sensors():
+        # the sensors see different earth fields, so their flux differs
+        return [
+            TactileSensor(env=Environment(seed=(7, f), earth_field_ut=earth), finger_id=f)
+            for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
+        ]
+
+    pair = sensors()
+    both = FrontEnd(pair, config, idle)
+    singles = sensors()
+    each = [FrontEnd([sensor], config, idle) for sensor in singles]
+    np.testing.assert_array_equal(both.baseline, np.concatenate([f.baseline for f in each]))
+    for stimulus, pose in schedule:
+        got = both.hold(stimulus, hold, pose)
+        assert got.shape == (hold, 2, 19)
+        want = np.concatenate([f.hold(stimulus, hold, pose) for f in each], axis=1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x, y in zip(pair, singles):
+        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +304,12 @@ def test_frame_validation_rejects_out_of_range_counts():
             TactileFrame(1, 0, np.full((4, 4), counts), np.zeros(3, dtype=np.float32))
 
 
+@pytest.mark.parametrize("flux", [np.nan, np.inf, -np.inf])
+def test_frame_validation_rejects_non_finite_flux(flux):
+    with pytest.raises(ValueError):
+        TactileFrame(1, 0, np.zeros((4, 4), int), [flux, 0.0, 0.0])
+
+
 def test_decoded_and_streamed_frames_skip_the_second_range_check(monkeypatch, tmp_path, rng):
     # the codecs range-check every record themselves and the stream study
     # clips its counts, so neither pays TactileFrame's own check again
@@ -331,8 +370,10 @@ def test_record_with_nan_flux_rejected():
         decode_frames(record.tobytes())
     with pytest.raises(MalformedRecord):
         encode_frames(record)
+    frame = make_frame(1)
+    frame.sa2[0] = np.nan  # past the constructor's own check
     with pytest.raises(MalformedRecord):
-        encode_frames([make_frame(1, sa2=(float("nan"), 0.0, 0.0))])
+        encode_frames([frame])
 
 
 @pytest.mark.parametrize(
