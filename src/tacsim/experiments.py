@@ -70,6 +70,37 @@ def _header(cfg: Config, name: str) -> str:
     return f"tacsim {name} config_sha256={cfg.hash()} seed={cfg.get('environment', 'seed')}"
 
 
+def _out_path(out_dir, name: str) -> Path:
+    """``out_dir / name``, creating ``out_dir`` if it is missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _write_csv(cfg: Config, study: str, path: Path, columns, rows, notes=()) -> Path:
+    """Write one study CSV: the stamp and ``notes`` as comment lines, then the rows.
+
+    Every float cell is written as its shortest round-trip repr; any other
+    cell is written as is.
+    """
+    with path.open("w", newline="") as fh:
+        for line in (_header(cfg, study), *notes):
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(
+            [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        )
+    return path
+
+
+def _write_calibration(cfg: Config, params: CalibrationParams, out_dir, source: str) -> Path:
+    path = _out_path(out_dir, "calibration.txt")
+    meta = {"config_sha256": cfg.hash(), "seed": cfg.get("environment", "seed"), "source": source}
+    save_calibration(params, path, metadata=meta)
+    return path
+
+
 def _sensors(cfg: Config, fingers: int | None = None) -> list[TactileSensor]:
     """The configured sensor units, each with its own seeded noise stream.
 
@@ -207,50 +238,21 @@ def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
 
     out_files = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report = out_dir / "characterize_report.csv"
-        with report.open("w", newline="") as fh:
-            fh.write(f"# {_header(cfg, 'characterize')}\n")
-            w = csv.writer(fh)
-            w.writerow(
-                ["location", "n_samples", "location_rmse_mm", "force_rmse_n",
-                 "fx_rmse_n", "fy_rmse_n", "fz_rmse_n", "torque_rmse_nmm"]
-            )
-            for m in metrics:
-                w.writerow(
-                    [m.label, m.n_samples, _fmt(m.location_rmse_mm), _fmt(m.force_rmse_n)]
-                    + [_fmt(v) for v in m.force_axis_rmse_n]
-                    + [_fmt(m.torque_rmse_nmm)]
-                )
-        samples_path = out_dir / "characterize_samples.csv"
-        with samples_path.open("w", newline="") as fh:
-            fh.write(f"# {_header(cfg, 'characterize')}\n")
-            w = csv.writer(fh)
-            w.writerow(
-                ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
-                 "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"]
-            )
-            for sweep in sweeps:
-                for s in sweep.samples:
-                    w.writerow(
-                        [sweep.location_label]
-                        + [_fmt(v) for v in s.force_true_n]
-                        + [_fmt(v) for v in s.location_true_mm]
-                        + [_fmt(v) for v in s.sa2_rel]
-                        + [_fmt(s.fa1_sum)]
-                    )
-        cal_path = out_dir / "calibration.txt"
-        save_calibration(
-            params,
-            cal_path,
-            metadata={
-                "config_sha256": cfg.hash(),
-                "seed": cfg.get("environment", "seed"),
-                "source": "characterize",
-            },
+        report = _write_csv(
+            cfg, "characterize", _out_path(out_dir, "characterize_report.csv"),
+            ["location", "n_samples", "location_rmse_mm", "force_rmse_n",
+             "fx_rmse_n", "fy_rmse_n", "fz_rmse_n", "torque_rmse_nmm"],
+            ([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
+              *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics),
         )
-        out_files = [report, samples_path, cal_path]
+        samples = _write_csv(
+            cfg, "characterize", _out_path(out_dir, "characterize_samples.csv"),
+            ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
+             "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"],
+            ([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
+             for sweep in sweeps for s in sweep.samples),
+        )
+        out_files = [report, samples, _write_calibration(cfg, params, out_dir, "characterize")]
     return CharacterizeResult(sweeps=sweeps, params=params, metrics=metrics, out_files=out_files)
 
 
@@ -258,19 +260,7 @@ def run_calibrate(cfg: Config, out_dir=None):
     """Characterize and persist only the fitted calibration."""
     result = run_characterize(cfg, None)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        cal_path = out_dir / "calibration.txt"
-        save_calibration(
-            result.params,
-            cal_path,
-            metadata={
-                "config_sha256": cfg.hash(),
-                "seed": cfg.get("environment", "seed"),
-                "source": "calibrate",
-            },
-        )
-        result.out_files.append(cal_path)
+        result.out_files.append(_write_calibration(cfg, result.params, out_dir, "calibrate"))
     return result
 
 
@@ -353,9 +343,7 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     )
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "disturbance_report.txt"
+        path = _out_path(out_dir, "disturbance_report.txt")
         true_field = np.array(cfg.get("environment", "earth_field_ut"))
         lines = [
             f"# {_header(cfg, 'disturbance')}",
@@ -391,19 +379,11 @@ def run_snr_sweep(cfg: Config, out_dir=None) -> SnrReport:
     dy = np.arange(s["dy_min_mm"], s["dy_max_mm"] + s["dy_step_mm"] / 2, s["dy_step_mm"])
     report = adjacent_snr_sweep(dy_mm=dy, gap_mm=cfg.get("sensor", "gap_mm"))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "snr_sweep.csv"
-        with path.open("w", newline="") as fh:
-            fh.write(f"# {_header(cfg, 'snr-sweep')}\n")
-            w = csv.writer(fh)
-            w.writerow(["magnet_id", "dy_mm", "s_ut", "d_ut", "snr"])
-            for row in report.rows:
-                w.writerow(
-                    [row.magnet_id, _fmt(row.dy_mm), _fmt(row.signal_ut),
-                     _fmt(row.disturbance_ut), _fmt(row.snr)]
-                )
-        report.out_files.append(path)
+        report.out_files.append(_write_csv(
+            cfg, "snr-sweep", _out_path(out_dir, "snr_sweep.csv"),
+            ["magnet_id", "dy_mm", "s_ut", "d_ut", "snr"],
+            ([r.magnet_id, r.dy_mm, r.signal_ut, r.disturbance_ut, r.snr] for r in report.rows),
+        ))
     return report
 
 
@@ -470,30 +450,21 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 
     out_files = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "grasp_trace.csv"
-        with path.open("w", newline="") as fh:
-            fh.write(f"# {_header(cfg, 'grasp')}\n")
-            w = csv.writer(fh)
-            w.writerow(["tick", "phase", "finger", "motor_deg", "signal", "contact_force_n", "event"])
-            for r in trace.rows:
-                w.writerow(
-                    [r.tick, r.phase, r.finger, _fmt(r.motor_deg), _fmt(r.signal),
-                     _fmt(r.contact_force_n), r.event]
-                )
-        out_files.append(path)
+        out_files.append(_write_csv(
+            cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"),
+            ["tick", "phase", "finger", "motor_deg", "signal", "contact_force_n", "event"],
+            ([r.tick, r.phase, r.finger, r.motor_deg, r.signal, r.contact_force_n, r.event]
+             for r in trace.rows),
+        ))
         if linearity is not None:
-            lpath = out_dir / "grasp_linearity.csv"
-            with lpath.open("w", newline="") as fh:
-                fh.write(f"# {_header(cfg, 'grasp')}\n")
-                fh.write(f"# slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"
-                         f" r2={_fmt(linearity.r2)}\n")
-                w = csv.writer(fh)
-                w.writerow(["object_size_mm", "hold_gap_mm"])
-                for size, gap in zip(linearity.sizes_mm, linearity.hold_gap_mm):
-                    w.writerow([_fmt(size), _fmt(gap)])
-            out_files.append(lpath)
+            fit = (f"slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"
+                   f" r2={_fmt(linearity.r2)}")
+            out_files.append(_write_csv(
+                cfg, "grasp", _out_path(out_dir, "grasp_linearity.csv"),
+                ["object_size_mm", "hold_gap_mm"],
+                zip(linearity.sizes_mm, linearity.hold_gap_mm),
+                notes=[fit],
+            ))
     return GraspResult(trace=trace, linearity=linearity, out_files=out_files)
 
 
@@ -528,13 +499,11 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
 
     out_files = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "stream.csv"
+        path = _out_path(out_dir, "stream.csv")
         write_frames_csv(frames, path, header_comment=_header(cfg, "stream"))
         out_files.append(path)
         if cfg.get("stream", "binary"):
-            bpath = out_dir / "stream.bin"
+            bpath = path.with_name("stream.bin")
             bpath.write_bytes(encode_frames(frames))
             out_files.append(bpath)
     return StreamResult(frames=frames, out_files=out_files)

@@ -336,13 +336,14 @@ class GraspSimulation:
 
         gate = self.step_interval_ticks
         single = not isinstance(self.policy, HysteresisPolicy)
+        hold_tick = None  # the single-threshold hold's start
         start = idle
         while start < max_ticks:
             force = self._contact_force(state)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
             end = min(-(-start // gate) * gate, max_ticks - 1)  # the next gated tick
-            if single and state.phase is Phase.HOLDING:
-                end = min(end, self._hold_tick(events) + self.stream.sample_rate_hz)
+            if hold_tick is not None:
+                end = min(end, hold_tick + self.stream.sample_rate_hz)
             signals = grip_signal(front.hold(stimulus, end - start + 1), self.policy.blend)
 
             for tick, signal in zip(range(start, end + 1), signals):
@@ -363,9 +364,9 @@ class GraspSimulation:
                     return trace
                 # single-threshold holds indefinitely; a short settled window
                 # is enough evidence for the study
-                if single and state.phase is Phase.HOLDING and (
-                    tick - self._hold_tick(events) >= self.stream.sample_rate_hz
-                ):
+                if single and "hold_start" in tick_events:
+                    hold_tick = tick
+                if hold_tick is not None and tick - hold_tick >= self.stream.sample_rate_hz:
                     return trace
             start = end + 1
         return trace
@@ -380,13 +381,6 @@ class GraspSimulation:
                 f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N"
             )
         return force
-
-    @staticmethod
-    def _hold_tick(events) -> int:
-        for tick, name in reversed(events):
-            if name == "hold_start":
-                return tick
-        return 0
 
 
 @dataclass

@@ -13,6 +13,7 @@ it in the same direction as the force.  The taxel at row r, column c
 (6.25, 6.25) mm.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,14 +78,16 @@ class ContactStimulus:
     probe_radius_mm: float = DEFAULT_PROBE_RADIUS_MM
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.force_n)):
+            raise ValueError("force components must be finite")
         if self.force_n[2] < 0.0:
             raise ValueError("normal force must press toward the face (Fz >= 0)")
         face = TAXEL_COLS * TAXEL_PITCH_MM
         x, y = self.location_mm
         if not (0.0 <= x <= face and 0.0 <= y <= face):
             raise ValueError(f"contact location must lie on the {face} mm face")
-        if self.probe_radius_mm <= 0.0:
-            raise ValueError("probe radius must be positive")
+        if not 0.0 < self.probe_radius_mm < math.inf:
+            raise ValueError("probe radius must be positive and finite")
 
 
 @dataclass
@@ -231,7 +234,11 @@ def _sa2_field(
     rotation; neighbour markers contribute their static fields.
     """
     delta = bone_displacement(stimulus.force_n, elastomer)
-    R = env.orientation if orientation is None else np.asarray(orientation, dtype=float)
+    R = env.orientation
+    if orientation is not None:
+        R = np.asarray(orientation, dtype=float)
+        if not is_rotation(R):
+            raise ValueError("orientation must be a proper rotation matrix")
     b = magnet_field_at_sensor(magnet, delta, elastomer.sa2_thickness_mm)
     b = b + R.T @ env.earth_field_ut
     for spec, position in env.neighbors:

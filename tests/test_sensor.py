@@ -3,7 +3,7 @@ import pytest
 
 from tacsim.errors import DisplacementOutOfRange
 from tacsim.magnets import build_marker_set, cylinder_flux, default_magnet
-from tacsim.pipeline import TactileFrame
+from tacsim.pipeline import FrontEnd, StreamConfig, TactileFrame
 from tacsim.rotations import axis_angle, rot_x, rot_y, rot_z
 from tacsim.sensor import (
     FACE_CENTER_MM,
@@ -110,6 +110,21 @@ def test_stimulus_validation():
         ContactStimulus(probe_radius_mm=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_stimulus_rejects_non_finite_force(axis, bad):
+    force = [0.0, 0.0, 1.0]
+    force[axis] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ContactStimulus(force_n=tuple(force))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stimulus_rejects_non_finite_probe_radius(bad):
+    with pytest.raises(ValueError, match="probe radius"):
+        ContactStimulus(probe_radius_mm=bad)
+
+
 def test_elastomer_validation():
     with pytest.raises(ValueError):
         ElastomerSpec(modulus_kpa=0.0)
@@ -172,6 +187,31 @@ def test_earth_field_enters_through_orientation(elastomer):
     got = sample_sa2(press(0.0), mag, elastomer, env)
     want = rest_flux(mag, elastomer) + rot_y(np.pi / 3).T @ np.asarray(b_e)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+CALLS_WITH_ORIENTATION = {
+    "sample_block": lambda sensor, R: sensor.sample_block(press(1.0), 3, R),
+    "sample": lambda sensor, R: sensor.sample(press(1.0), 0, R),
+    "sample_sa2": lambda sensor, R: sample_sa2(
+        press(1.0), sensor.magnet, sensor.elastomer, sensor.env, R
+    ),
+    "FrontEnd": lambda sensor, R: FrontEnd([sensor], StreamConfig(), press(0.0), R),
+    "FrontEnd.hold": lambda sensor, R: FrontEnd([sensor], StreamConfig(), press(0.0)).hold(
+        press(1.0), 3, R
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "R", [np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.eye(2)],
+    ids=["zeros", "reflection", "scaled", "2x2"],
+)
+@pytest.mark.parametrize("call", list(CALLS_WITH_ORIENTATION))
+def test_per_call_orientation_must_be_a_rotation(call, R, elastomer):
+    sensor = TactileSensor(elastomer=elastomer, env=Environment(earth_field_ut=(30.0, 0.0, 40.0)))
+    CALLS_WITH_ORIENTATION[call](sensor, rot_x(0.3))  # a rotation is accepted
+    with pytest.raises(ValueError, match="rotation"):
+        CALLS_WITH_ORIENTATION[call](sensor, R)
 
 
 def test_neighbor_marker_keeps_snr_above_nominal_floor(elastomer):

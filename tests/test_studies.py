@@ -49,6 +49,21 @@ def test_study_outputs_match_golden_digests(workload, op, tmp_path, capsys):
     assert digests == GOLDEN[workload][op["label"]]
 
 
+def test_calibrate_writes_characterize_calibration(tmp_path, capsys):
+    seed = ["--seed", str(BENCH_RUN.DEFAULT_SEED)]
+    for command in ("characterize", "calibrate"):
+        argv = [command, *seed, "--out", str(tmp_path / command)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    characterized = (tmp_path / "characterize" / "calibration.txt").read_bytes()
+    golden = GOLDEN["openloop"]["characterize"]["calibration.txt"]
+    assert hashlib.sha256(characterized).hexdigest() == golden
+    assert [p.name for p in (tmp_path / "calibrate").iterdir()] == ["calibration.txt"]
+    assert characterized.count(b"\nsource = characterize\n") == 1
+    assert (tmp_path / "calibrate" / "calibration.txt").read_bytes() == characterized.replace(
+        b"\nsource = characterize\n", b"\nsource = calibrate\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the grasp study sees the sensor, noise and elastomer keys
 # ---------------------------------------------------------------------------
