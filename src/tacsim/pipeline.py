@@ -15,6 +15,7 @@ codec, writer or reader, runs the same ``MalformedRecord`` check.
 """
 
 import csv
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,8 @@ CSV_HEADER = (
     + [f"fa1_{r}{c}" for r in range(4) for c in range(4)]
     + ["sa2_x", "sa2_y", "sa2_z"]
 )
+# a CSV row as parsed: timestamp, finger and 16 counts, then the flux as written
+_CSV_ROW = np.dtype([("ints", "<i8", (18,)), ("flux", "<f8", (3,))])
 
 
 @dataclass
@@ -320,17 +323,29 @@ def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
 
 
 def read_frames_csv(path) -> np.recarray:
+    """The records of a CSV log, parsed in one ``np.loadtxt`` pass; MalformedRecord if any is bad.
+
+    Only lines that start with ``#`` are comments; a ``#`` elsewhere, a
+    blank row or a quoted field is a bad row.
+    """
     with Path(path).open() as fh:
-        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-    if not rows or rows[0] != CSV_HEADER:
+        lines = [line for line in fh if not line.startswith("#")]
+    if not lines or next(csv.reader(lines[:1])) != CSV_HEADER:
         raise MalformedRecord("unexpected CSV header")
-    for row in rows[1:]:
-        if len(row) != len(CSV_HEADER):
-            raise MalformedRecord(f"CSV row has {len(row)} fields, expected {len(CSV_HEADER)}")
-    try:
-        ints = np.array([list(map(int, row[:18])) for row in rows[1:]]).reshape(-1, 18)
-        with np.errstate(over="ignore"):  # past float32's range reads inf, refused as not finite
-            flux = np.array([list(map(float, row[18:])) for row in rows[1:]]).astype(np.float32)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedRecord(f"bad CSV field: {exc}") from None
+    body = lines[1:]
+    rows = np.zeros(0, _CSV_ROW)
+    if body:  # loadtxt warns on empty input
+        try:
+            with warnings.catch_warnings():
+                # a warning is a bad row too: numpy 1.x reads 3.5 into an integer column
+                # as 3 with only a DeprecationWarning, and only blank lines warn of no data
+                warnings.simplefilter("error")
+                rows = np.loadtxt(body, _CSV_ROW, comments=None, delimiter=",", ndmin=1)
+        except (ValueError, Warning) as exc:
+            raise MalformedRecord(f"bad CSV row: {exc}") from None
+        if len(rows) != len(body):  # loadtxt skips blank lines
+            raise MalformedRecord(f"{len(body) - len(rows)} blank CSV rows")
+    ints = rows["ints"]
+    with np.errstate(over="ignore"):  # past float32's range reads inf, refused as not finite
+        flux = rows["flux"].astype(np.float32)
     return _records(ints[:, 0], ints[:, 1], ints[:, 2:], flux)

@@ -33,9 +33,10 @@ def axis_angle(axis, angle_rad: float) -> np.ndarray:
 
 
 def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
+    """Finite, orthonormal to within ``tol`` in every entry of ``R.T @ R``, and det +1."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape != (3, 3) or not np.isfinite(R).all():
         return False
-    if not np.allclose(R.T @ R, np.eye(3), atol=tol):
+    if np.abs(R.T @ R - np.eye(3)).max() > tol:
         return False
     return abs(np.linalg.det(R) - 1.0) <= tol

@@ -78,6 +78,10 @@ class ContactStimulus:
     probe_radius_mm: float = DEFAULT_PROBE_RADIUS_MM
 
     def __post_init__(self):
+        if len(self.force_n) != 3:
+            raise ValueError("force must have 3 components (Fx, Fy, Fz)")
+        if len(self.location_mm) != 2:
+            raise ValueError("contact location must have 2 coordinates (x, y)")
         if not all(map(math.isfinite, self.force_n)):
             raise ValueError("force components must be finite")
         if self.force_n[2] < 0.0:

@@ -1,11 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tacsim.config import load_config
 from tacsim.errors import InsufficientSamples, MalformedRecord
 from tacsim.experiments import _sensors, _stream_config, run_stream
 from tacsim.pipeline import (
+    ADC_MAX,
     CSV_HEADER,
+    FA1_SHAPE,
     FRAME_DTYPE,
     RECORD_SIZE,
     Baseline,
@@ -469,6 +475,100 @@ def test_malformed_csv_row_rejected(tmp_path, edit):
     path.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
     with pytest.raises(MalformedRecord):
         read_frames_csv(path)
+
+
+def one_row_log(path, edit=lambda fields: fields):
+    """A CSV log of one frame, its row's fields passed through ``edit``."""
+    write_frames_csv([make_frame(1, value=3)], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("body", ["{row}\n\n{row}\n", "{row}\n\n", "\n"],
+                         ids=["between-rows", "at-the-end", "only-row"])
+def test_blank_csv_row_rejected(tmp_path, body):
+    path = one_row_log(tmp_path / "log.csv")
+    header, row = path.read_text().splitlines()
+    path.write_text(header + "\n" + body.format(row=row))
+    with pytest.raises(MalformedRecord):
+        read_frames_csv(path)
+
+
+def test_header_only_csv_reads_as_zero_records_without_a_warning(tmp_path):
+    path = tmp_path / "log.csv"
+    write_frames_csv([], path, header_comment="empty")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = read_frames_csv(path)
+    assert caught == []
+    assert len(records) == 0 and records.dtype == FRAME_DTYPE
+
+
+@pytest.mark.parametrize("text", ["3.0", "1e3", "1_000"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_count_written_as_other_than_an_integer_rejected(tmp_path, text, action):
+    # each would read as a count in range; numpy 1.x's loadtxt parses a float
+    # into an integer column with only a DeprecationWarning, so no warning
+    # filter of the caller's may let it through
+    path = one_row_log(tmp_path / "log.csv", lambda fields: fields[:2] + [text] + fields[3:])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(MalformedRecord):
+            read_frames_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda fields: fields[:9] + [fields[9] + "#"] + fields[10:],
+        lambda fields: fields[:9] + ["# note"] + fields[10:],
+        lambda fields: fields[:-1] + [fields[-1] + " # note"],
+        lambda fields: fields[:9] + [f'"{fields[9]}"'] + fields[10:],
+    ],
+    ids=["hash-after-a-count", "hash-field", "hash-after-the-last-field", "quoted-count"],
+)
+def test_comment_or_quote_inside_a_csv_row_rejected(tmp_path, edit):
+    path = one_row_log(tmp_path / "log.csv", edit)
+    with pytest.raises(MalformedRecord):
+        read_frames_csv(path)
+
+
+def test_only_lines_starting_with_hash_are_comments(tmp_path, rng):
+    frames = [random_frame(rng, i + 1) for i in range(3)]
+    path = tmp_path / "log.csv"
+    write_frames_csv(frames, path, header_comment="top")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["# between rows"] + lines[3:] + ["#"]) + "\n")
+    assert_same_frames(read_frames_csv(path), frames)
+
+
+FLUX = st.floats(width=32, allow_nan=False, allow_infinity=False)
+RECORD = st.tuples(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(0, 255),
+    st.lists(st.integers(0, ADC_MAX), min_size=16, max_size=16),
+    st.lists(FLUX, min_size=3, max_size=3),
+)
+F32 = np.finfo(np.float32)
+EXTREMES = [
+    (2**63 - 1, 255, [ADC_MAX] * 16, [float(F32.max), -0.0, float(F32.smallest_subnormal)]),
+    (-(2**63 - 1), 0, [0] * 16, [-float(F32.max), 0.0, -float(F32.smallest_subnormal)]),
+    (0, 1, [0, ADC_MAX] * 8, [float(F32.tiny), -float(F32.tiny), float(F32.tiny - F32.smallest_subnormal)]),
+]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(RECORD, max_size=20))
+@example(rows=EXTREMES)
+@example(rows=[])
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, rows):
+    records = np.array([(timestamp, finger, np.reshape(counts, FA1_SHAPE), flux)
+                        for timestamp, finger, counts, flux in rows], FRAME_DTYPE)
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_frames_csv(records, path)
+    back = read_frames_csv(path)
+    assert back.dtype == FRAME_DTYPE and back.tobytes() == records.tobytes()
 
 
 def test_one_second_of_stream_is_500_records_of_19_channels():

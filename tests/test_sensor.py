@@ -110,6 +110,21 @@ def test_stimulus_validation():
         ContactStimulus(probe_radius_mm=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        ({"force_n": (1.0, 2.0)}, "force"),
+        ({"force_n": (0.0, 0.0, 1.0, 0.5)}, "force"),
+        ({"location_mm": (1.0,)}, "location"),
+        ({"location_mm": (1.0, 2.0, 3.0)}, "location"),
+    ],
+    ids=["force-2", "force-4", "location-1", "location-3"],
+)
+def test_stimulus_refuses_wrong_shapes(kwargs, what):
+    with pytest.raises(ValueError, match=what):
+        ContactStimulus(**kwargs)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_stimulus_rejects_non_finite_force(axis, bad):
