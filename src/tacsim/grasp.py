@@ -14,6 +14,7 @@ policies:
   between the thresholds keeps the controller from chattering on noise.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
 from .pipeline import FrontEnd, StreamConfig
-from .sensor import ContactStimulus
+from .sensor import ContactStimulus, travel_stop_force_n
 
 
 class Phase(Enum):
@@ -81,7 +82,8 @@ class GripperGeometry:
 
 
 # ---------------------------------------------------------------------------
-# objects between the fingers
+# objects between the fingers: contact_force must never rise as the
+# separation grows, for GraspSimulation looks ahead on it
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -276,7 +278,9 @@ class GraspSimulation:
     """Ties sensors, stream front end, object, and controller into one loop.
 
     ``sensors`` holds the two fingertips, finger *f* at index *f*; they
-    carry the physics, the noise and the seeded RNG state.
+    carry the physics, the noise and the seeded RNG state.  They are loaded
+    with the object's force stopped at the bone's travel stop; the trace and
+    the crush check keep the object's force.
 
     ``run`` gives, bit for bit, what a per-tick ``sensor.sample`` ->
     ``StreamProcessor.process`` loop gives, but samples and filters each
@@ -287,13 +291,16 @@ class GraspSimulation:
       fingers samples the window as one block per finger and sets their
       baselines.
     * After that the motor moves only on gated ticks (``tick % ma_window ==
-      0``), so the stimulus holds from the tick after one gate through the
-      next gate.  Each such segment of ``n`` ticks is one ``FrontEnd.hold``,
-      an ``(n, 2, 19)`` block (each finger has its own RNG, so these are the
-      per-tick draws), and one ``grip_signal`` call on it; only the
-      controller and the trace run per tick.
-    * A segment also ends at ``max_ticks`` and at the single-threshold
-      cut-off, where the loop stops, so no frame past the last tick is drawn.
+      0``).  A segment runs past every gate that provably leaves the force
+      unchanged: closing, while the farthest motor pair reachable gives the
+      start's force; holding, to the single-threshold cut-off or the first
+      gate after the hysteresis release; releasing, to the next gate.  It
+      is one ``FrontEnd.hold``, an ``(n, 2, 19)`` block for its ``n`` ticks
+      (each finger has its own RNG, so these are the per-tick draws), and
+      one ``grip_signal`` call; only the controller and the trace run per tick.
+    * No segment passes ``max_ticks``, nor, while closing, the first tick
+      the loop could stop or release at if a hold started at the next gate,
+      so no frame past the last tick is drawn.
     """
 
     def __init__(
@@ -313,6 +320,7 @@ class GraspSimulation:
         # actuate no faster than the filter settles, else decisions chase a
         # stale signal and overrun the thresholds (StreamConfig keeps it >= 1)
         self.step_interval_ticks = stream.ma_window
+        self.stop_force_n = min(travel_stop_force_n(sensor.elastomer) for sensor in sensors)
 
     def run(self, max_ticks: int = 2000) -> GraspTrace:
         state = GripperState()
@@ -324,7 +332,7 @@ class GraspSimulation:
 
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
-        stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
+        stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
         for tick in range(idle):
             rows += [TraceRow(tick, Phase.IDLE.value, f, 0.0, 0.0, force, "") for f in range(2)]
         state.tick = idle - 1
@@ -334,16 +342,19 @@ class GraspSimulation:
             return trace
         front = FrontEnd(self.sensors, self.stream, stimulus)
 
-        gate = self.step_interval_ticks
+        gate, rate = self.step_interval_ticks, self.stream.sample_rate_hz
         single = not isinstance(self.policy, HysteresisPolicy)
-        hold_tick = None  # the single-threshold hold's start
+        # ticks from a hold's start to where the loop returns (single threshold)
+        # or to the release, replaying controller_step's hold_elapsed_s += dt_s
+        elapsed = itertools.accumulate(itertools.repeat(self.dt_s, max_ticks))  # 0.0 + dt_s is dt_s
+        hold_ticks = rate if single else next(
+            (n for n, e in enumerate(elapsed, 1) if e >= self.policy.hold_s), max_ticks)
+        hold_tick = None  # the hold's start
         start = idle
         while start < max_ticks:
             force = self._contact_force(state)
-            stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
-            end = min(-(-start // gate) * gate, max_ticks - 1)  # the next gated tick
-            if hold_tick is not None:
-                end = min(end, hold_tick + self.stream.sample_rate_hz)
+            end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
+            stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold(stimulus, end - start + 1), self.policy.blend)
 
             for tick, signal in zip(range(start, end + 1), signals):
@@ -362,19 +373,44 @@ class GraspSimulation:
                 rows += [TraceRow(tick, phase, f, motors[f], values[f], force, labels[f]) for f in range(2)]
                 if state.phase is Phase.DONE:
                     return trace
+                if "hold_start" in tick_events:
+                    hold_tick = tick
                 # single-threshold holds indefinitely; a short settled window
                 # is enough evidence for the study
-                if single and "hold_start" in tick_events:
-                    hold_tick = tick
-                if hold_tick is not None and tick - hold_tick >= self.stream.sample_rate_hz:
+                if single and hold_tick is not None and tick - hold_tick >= rate:
                     return trace
             start = end + 1
         return trace
 
+    def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
+        """Last tick of the segment from ``start``: the force holds through it
+        and ``run`` cannot return before it."""
+        gate, geo = self.step_interval_ticks, self.geometry
+        end = -(-start // gate) * gate  # the next gated tick
+        last = max_ticks - 1
+        if state.phase is Phase.HOLDING:
+            end = hold_tick + hold_ticks
+            if isinstance(self.policy, HysteresisPolicy):
+                end = end // gate * gate + gate  # the motor moves at the first gate after release
+        elif state.phase in (Phase.IDLE, Phase.CLOSING):
+            last = min(last, end + hold_ticks)  # in case a hold starts at that gate
+            # the farthest pair: each unhalted finger one increment per gate; the
+            # force is monotone in each motor, so equal there means equal on the way
+            inc, motor = (~state.halted).astype(int), state.motor_deg
+            while end < last:
+                motor = np.clip(motor + inc * geo.increment_deg, 0.0, geo.max_travel_deg)
+                if self._object_force(motor) != force:
+                    break
+                end += gate
+        return min(end, last)
+
+    def _object_force(self, motor_deg) -> float:
+        separation = self.geometry.opening_mm - (motor_deg * self.geometry.mm_per_deg).sum()
+        return self.object_model.contact_force(separation)
+
     def _contact_force(self, state: GripperState) -> float:
         """Object force at the current finger separation; CrushDetected past its limit."""
-        separation = self.geometry.opening_mm - state.travel_mm(self.geometry).sum()
-        force = self.object_model.contact_force(separation)
+        force = self._object_force(state.motor_deg)
         crush = self.object_model.crush_force_n
         if crush is not None and force > crush:
             raise CrushDetected(

@@ -206,6 +206,15 @@ def compliance_mm_per_n(elastomer: ElastomerSpec) -> float:
     return 1e3 / stiffness_n_per_m
 
 
+def travel_stop_force_n(elastomer: ElastomerSpec) -> float:
+    """Largest force magnitude (N) that ``bone_displacement`` takes without raising."""
+    compliance, limit = compliance_mm_per_n(elastomer), MAX_TRAVEL_FRACTION * elastomer.sa2_thickness_mm
+    force = limit / compliance
+    while compliance * force > limit:  # the quotient can round up by an ulp
+        force = math.nextafter(force, 0.0)
+    return force
+
+
 def bone_displacement(force_n, elastomer: ElastomerSpec) -> np.ndarray:
     """Quasi-static bone displacement (mm) under the contact wrench."""
     delta = compliance_mm_per_n(elastomer) * np.asarray(force_n, dtype=float)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tacsim import pipeline
 from tacsim.errors import CrushDetected, GraspFailed, RankDeficientFit
 from tacsim.grasp import (
     Egg,
@@ -20,7 +23,7 @@ from tacsim.grasp import (
     tweezers_linearity_study,
 )
 from tacsim.pipeline import RelativeFrame, StreamConfig, StreamProcessor
-from tacsim.sensor import ContactStimulus, Environment, TactileSensor
+from tacsim.sensor import ContactStimulus, Environment, TactileSensor, travel_stop_force_n
 
 DT = 1.0 / 250.0
 GEO = GripperGeometry()
@@ -142,6 +145,37 @@ def test_tweezers_piecewise_force():
     seps = np.linspace(32.0, 18.0, 100)
     forces = [tw.contact_force(s) for s in seps]
     assert all(b >= a - 1e-12 for a, b in zip(forces, forces[1:]))
+
+
+def positive(high):
+    return st.floats(1e-3, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tweezers(draw):
+    tip_gap = draw(positive(100.0))
+    return Tweezers(
+        object_size_mm=draw(st.floats(0.0, tip_gap)), outer_width_mm=draw(positive(200.0)),
+        tip_gap_mm=tip_gap, arm_rate_n_per_mm=draw(positive(10.0)),
+        spring_rate_n_per_mm=draw(positive(1e3)), tip_ratio=draw(positive(10.0)),
+    )
+
+
+OBJECTS = st.one_of(
+    st.just(NoObject()),
+    st.builds(RigidObject, size_mm=positive(1e3), stiffness_n_per_mm=positive(1e6)),
+    st.builds(Egg, size_mm=positive(1e3), stiffness_n_per_mm=positive(1e6), crush_force_n=positive(1e6)),
+    tweezers(),
+)
+SEPARATIONS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(OBJECTS, SEPARATIONS, SEPARATIONS)
+def test_contact_force_never_rises_with_separation(obj, a, b):
+    # GraspSimulation merges closing segments on this: unchanged force at the
+    # farthest reachable motor pair means unchanged force at every pair
+    near, far = sorted((a, b))
+    assert obj.contact_force(near) >= obj.contact_force(far)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +364,11 @@ def test_study_flags_unreachable_hold():
 def per_frame_run(sim, max_ticks):
     """The closed loop one frame at a time: ``sensor.sample`` ->
     ``StreamProcessor.process`` -> the scalar grip signal -> ``controller_step``
-    for each finger on every tick.  ``GraspSimulation.run`` must match it
-    bit for bit."""
+    for each finger on every tick, each sensor loaded with the object's force
+    up to its travel stop.  ``GraspSimulation.run`` must match it bit for
+    bit."""
     processor = StreamProcessor(sim.stream)
+    stop = min(travel_stop_force_n(sensor.elastomer) for sensor in sim.sensors)
     state = GripperState()
     rows, events = [], []
     dt_us = int(round(1e6 / sim.stream.sample_rate_hz))
@@ -343,7 +379,7 @@ def per_frame_run(sim, max_ticks):
         crush = sim.object_model.crush_force_n
         if crush is not None and force > crush:
             raise CrushDetected(f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N")
-        stimulus = ContactStimulus(force_n=(0.0, 0.0, force))
+        stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, stop)))
         rel = [processor.process(sensor.sample(stimulus, timestamp_us=(tick + 1) * dt_us))
                for sensor in sim.sensors]
         if any(r is None for r in rel):
@@ -377,6 +413,23 @@ def per_frame_run(sim, max_ticks):
 SHORT_INIT = {"init_samples": 20, "baseline_tail": 5}
 EGG, SINGLE = Egg(), SingleThreshold()
 TWEEZERS, QUICK_HOLD = Tweezers(), HysteresisPolicy(hold_s=0.2)
+# runs whose last block is merged past gates and ends where the loop returns
+MERGED = {
+    "none-single-limit-then-cut-off": (NoObject(), SINGLE, 3000),
+    "none-hysteresis-done": (NoObject(), QUICK_HOLD, 3000),
+    "max-ticks-in-merged-approach": (EGG, SINGLE, 60),
+    "max-ticks-in-merged-hold": (TWEEZERS, QUICK_HOLD, 570),  # holds at tick 546, releases at 596
+    "rigid-single": (RigidObject(), SINGLE, 3000),
+}
+
+
+def kernel_case(obj, policy, stream, noise):
+    # the fingers see different earth fields, so their flux differs
+    sensors = [
+        TactileSensor(env=Environment(seed=(4, f), earth_field_ut=earth, **noise), finger_id=f)
+        for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
+    ]
+    return GraspSimulation(obj, policy, sensors, stream=stream)
 
 
 @pytest.mark.parametrize(
@@ -397,25 +450,17 @@ TWEEZERS, QUICK_HOLD = Tweezers(), HysteresisPolicy(hold_s=0.2)
         (EGG, SINGLE, StreamConfig(), {}, 300),
         (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
         (EGG, SINGLE, StreamConfig(), {}, 400),
-    ],
+    ] + [(obj, policy, StreamConfig(**SHORT_INIT), {}, max_ticks) for obj, policy, max_ticks in MERGED.values()],
     ids=[
         "egg-ma1", "egg-default", "egg-ma8", "egg-ma50",
         "fa1-noise-off", "sa2-noise-off", "quantization-off", "all-noise-off",
         "tweezers-hysteresis", "tweezers-hysteresis-ma8",
         "max-ticks-0", "max-ticks-below-init", "max-ticks-equal-init", "max-ticks-one-past-init",
-        "max-ticks-mid-segment",
+        "max-ticks-mid-segment", *MERGED,
     ],
 )
 def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
-    def sim():
-        # the fingers see different earth fields, so their flux differs
-        sensors = [
-            TactileSensor(env=Environment(seed=(4, f), earth_field_ut=earth, **noise), finger_id=f)
-            for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
-        ]
-        return GraspSimulation(obj, policy, sensors, stream=stream)
-
-    kernel_sim, frame_sim = sim(), sim()
+    kernel_sim, frame_sim = kernel_case(obj, policy, stream, noise), kernel_case(obj, policy, stream, noise)
     kernel, frames = kernel_sim.run(max_ticks), per_frame_run(frame_sim, max_ticks)
     assert kernel.rows == frames.rows
     assert kernel.events == frames.events
@@ -425,6 +470,27 @@ def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for x, y in zip(kernel_sim.sensors, frame_sim.sensors):
         assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
+def recorded_holds(monkeypatch):
+    """The ``n`` of every ``FrontEnd.hold`` call from here on."""
+    sizes, hold = [], pipeline.FrontEnd.hold
+
+    def recording(self, stimulus, n, orientation=None):
+        sizes.append(n)
+        return hold(self, stimulus, n, orientation)
+
+    monkeypatch.setattr(pipeline.FrontEnd, "hold", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("case", list(MERGED))
+def test_the_last_block_is_merged_past_a_gate(case, monkeypatch):
+    obj, policy, max_ticks = MERGED[case]
+    sizes = recorded_holds(monkeypatch)
+    trace = kernel_case(obj, policy, StreamConfig(**SHORT_INIT), {}).run(max_ticks)
+    assert sum(sizes) == len(trace.rows) // 2 - SHORT_INIT["init_samples"]
+    assert sizes[-1] > 2 * StreamConfig().ma_window
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tacsim.errors import DisplacementOutOfRange
 from tacsim.magnets import build_marker_set, cylinder_flux, default_magnet
@@ -21,6 +23,7 @@ from tacsim.sensor import (
     rest_flux,
     sample_fa1,
     sample_sa2,
+    travel_stop_force_n,
 )
 
 
@@ -165,6 +168,20 @@ def test_displacement_hits_mechanical_stop(elastomer):
     bone_displacement((0.0, 0.0, limit_force - 0.05), elastomer)
     with pytest.raises(DisplacementOutOfRange):
         bone_displacement((0.0, 0.0, limit_force + 0.05), elastomer)
+
+
+def test_travel_stop_force_at_the_defaults(elastomer):
+    assert travel_stop_force_n(elastomer) == pytest.approx(3.984, rel=1e-12)
+
+
+# the config's bounds on the two constants the stop depends on
+@given(st.floats(1.0, 1e5), st.floats(0.5, 20.0, exclude_min=True))
+def test_travel_stop_force_is_the_largest_the_stop_takes(modulus_kpa, thickness_mm):
+    elastomer = ElastomerSpec(modulus_kpa=modulus_kpa, sa2_thickness_mm=thickness_mm)
+    stop = travel_stop_force_n(elastomer)
+    bone_displacement((0.0, 0.0, stop), elastomer)
+    with pytest.raises(DisplacementOutOfRange):
+        bone_displacement((0.0, 0.0, stop * (1.0 + 1e-9)), elastomer)
 
 
 def test_rest_configuration_returns_marker_field_exactly(elastomer, quiet_env):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tacsim import cli
+from tacsim import cli, pipeline
 from tacsim.config import load_config
 from tacsim.experiments import run_grasp
 
@@ -98,3 +98,31 @@ def test_grasp_outputs_follow_sensor_config(overrides, default_rows, tmp_path):
     rows = _grasp_rows(tmp_path, *overrides)
     for name in OUTPUTS:
         assert rows[name] != default_rows[name], f"{name} ignores {', '.join(overrides)}"
+
+
+# ---------------------------------------------------------------------------
+# the grasp kernel merges segments across gates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "overrides, most_holds",
+    [([], 5), (["grasp.object=tweezers", "grasp.policy=hysteresis"], 182)],
+    ids=["egg", "tweezers-hysteresis"],
+)
+def test_default_grasps_hold_few_blocks(overrides, most_holds, monkeypatch):
+    # one FrontEnd.hold per gated tick would be 60 and 1,052
+    calls, hold = [], pipeline.FrontEnd.hold
+    monkeypatch.setattr(pipeline.FrontEnd, "hold", lambda *args: calls.append(args) or hold(*args))
+    run_grasp(load_config(overrides=overrides))
+    assert 0 < len(calls) <= most_holds
+
+
+@pytest.mark.parametrize(
+    "overrides, hold_tick",
+    [(["grasp.object=rigid"], 492), (["grasp.object=none", "grasp.policy=hysteresis"], 1098)],
+    ids=["rigid", "none-hysteresis"],
+)
+def test_grasp_objects_run_at_the_default_config(overrides, hold_tick, tmp_path, capsys):
+    argv = ["grasp", "--out", str(tmp_path)] + [a for o in overrides for a in ("--set", o)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert run_grasp(load_config(overrides=overrides)).trace.event_tick("hold_start") == hold_tick
