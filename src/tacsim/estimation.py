@@ -49,7 +49,7 @@ class CalibrationParams:
 
 @dataclass
 class SweepSample:
-    """One averaged dwell from a characterization run."""
+    """One averaged dwell from a characterization run, or ``n`` of them on a leading axis."""
 
     force_true_n: np.ndarray
     location_true_mm: np.ndarray
@@ -89,19 +89,21 @@ def estimate_location(fa1_rel, pitch_mm: float = DEFAULT_PITCH_MM) -> np.ndarray
     """Contact point (mm) from the relative taxel readings.
 
     The taxel-weighted centroid, divided by the live response sum so the
-    estimate is independent of how hard the press is.  Raises NoContact
-    when no taxel clears the activation threshold.
+    estimate is independent of how hard the press is.  One ``(4, 4)``
+    reading gives ``(2,)`` and raises NoContact when no taxel clears the
+    activation threshold; ``(n, 4, 4)`` readings give ``(n, 2)``, NaN in
+    each row of no contact.
     """
     r = np.asarray(fa1_rel, dtype=float)
-    if r.max() <= CONTACT_THRESHOLD_COUNTS:
+    batch = r.reshape((-1,) + TAXEL_X_MM.shape)
+    located = ~(batch.max(axis=(1, 2)) <= CONTACT_THRESHOLD_COUNTS)
+    if r.ndim <= 2 and not located[0]:
         raise NoContact(f"no taxel above {CONTACT_THRESHOLD_COUNTS} counts")
-    r = np.clip(r, 0.0, None)
-    grid_x = TAXEL_X_MM / DEFAULT_PITCH_MM * pitch_mm
-    grid_y = TAXEL_Y_MM / DEFAULT_PITCH_MM * pitch_mm
-    denom = r.sum()
-    x = float((grid_x * r).sum() / denom)
-    y = float((grid_y * r).sum() / denom)
-    return np.array([x, y])
+    w = np.clip(batch[located], 0.0, None)[:, None]
+    grid = np.stack([TAXEL_X_MM, TAXEL_Y_MM]) / DEFAULT_PITCH_MM * pitch_mm
+    loc = np.full((len(batch), 2), np.nan)
+    loc[located] = (grid * w).sum(axis=(2, 3)) / w.sum(axis=(2, 3))
+    return loc.reshape(r.shape[:-2] + (2,))
 
 
 def mixed_z_channel(delta_bz, fa1_sum, params: CalibrationParams):
@@ -112,23 +114,21 @@ def mixed_z_channel(delta_bz, fa1_sum, params: CalibrationParams):
 
 
 def estimate_force(rel_frame, params: CalibrationParams) -> np.ndarray:
-    """Affine per-axis force estimate (N) from one relative frame."""
+    """Affine per-axis force estimate (N): ``(3,)`` from one relative frame, ``(n, 3)`` from n."""
     db = np.asarray(rel_frame.sa2, dtype=float)
-    fx = params.k[0] * db[0] + params.b[0]
-    fy = params.k[1] * db[1] + params.b[1]
-    mixed = mixed_z_channel(db[2], np.sum(rel_frame.fa1), params)
-    fz = params.k[2] * mixed + params.b[2]
-    return np.array([fx, fy, float(fz)])
+    fa1_sum = np.sum(rel_frame.fa1, axis=tuple(range(db.ndim - 1, np.ndim(rel_frame.fa1))))
+    fx = params.k[0] * db[..., 0] + params.b[0]
+    fy = params.k[1] * db[..., 1] + params.b[1]
+    fz = params.k[2] * mixed_z_channel(db[..., 2], fa1_sum, params) + params.b[2]
+    return np.stack([fx, fy, fz], axis=-1)
 
 
 def estimate_torque(location_mm, force_n, joint_center_mm=None) -> np.ndarray:
-    """Torque (N*mm) about the joint centre: r x F with r to the contact."""
-    joint = DEFAULT_JOINT_CENTER_MM if joint_center_mm is None else np.asarray(
-        joint_center_mm, dtype=float
-    )
-    contact = np.array([location_mm[0], location_mm[1], 0.0])
-    r = contact - joint
-    return np.cross(r, np.asarray(force_n, dtype=float))
+    """Torque (N*mm) about the joint centre: r x F with r to the contact, row by row."""
+    joint = DEFAULT_JOINT_CENTER_MM if joint_center_mm is None else np.asarray(joint_center_mm, float)
+    loc = np.asarray(location_mm, dtype=float)[..., :2]
+    contact = np.concatenate([loc, np.zeros(loc.shape[:-1] + (1,))], axis=-1)
+    return np.cross(contact - joint, np.asarray(force_n, dtype=float))
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray):
@@ -147,10 +147,14 @@ def _ols_line(x: np.ndarray, y: np.ndarray):
 
 
 def _pool(sweeps):
+    """Pooled force truth, flux deltas and taxel sums, and the two z-channel scales."""
     force = np.concatenate([s.force_truth() for s in sweeps])
     db = np.concatenate([s.delta_b() for s in sweeps])
     sums = np.concatenate([s.fa1_sums() for s in sweeps])
-    return force, db, sums
+    scale_bz, scale_sum = float(np.std(db[:, 2])), float(np.std(sums))
+    if scale_bz == 0.0 or scale_sum == 0.0:
+        raise RankDeficientFit("a z-channel is constant over the sweep")
+    return force, db, sums, scale_bz, scale_sum
 
 
 def select_blend(sweeps, grid_step: float = BLEND_GRID_STEP):
@@ -159,11 +163,7 @@ def select_blend(sweeps, grid_step: float = BLEND_GRID_STEP):
     Both channels are scale-normalised first so the grid is comparable.
     Ties resolve to the smaller weight.  Returns (blend, grid, rmsd_curve).
     """
-    force, db, sums = _pool(sweeps)
-    scale_bz = float(np.std(db[:, 2]))
-    scale_sum = float(np.std(sums))
-    if scale_bz == 0.0 or scale_sum == 0.0:
-        raise RankDeficientFit("a z-channel is constant over the sweep")
+    force, db, sums, scale_bz, scale_sum = _pool(sweeps)
     zb = db[:, 2] / scale_bz
     zr = sums / scale_sum
     grid = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
@@ -181,14 +181,10 @@ def fit_calibration(sweeps, blend: float | None = None) -> CalibrationParams:
     When ``blend`` is not given it is chosen by ``select_blend`` first.
     Raises RankDeficientFit if any axis regressor carries no information.
     """
-    force, db, sums = _pool(sweeps)
+    force, db, sums, scale_bz, scale_sum = _pool(sweeps)
     rmsd_curve = None
     if blend is None:
         blend, _, rmsd_curve = select_blend(sweeps)
-    scale_bz = float(np.std(db[:, 2]))
-    scale_sum = float(np.std(sums))
-    if scale_bz == 0.0 or scale_sum == 0.0:
-        raise RankDeficientFit("a z-channel is constant over the sweep")
 
     kx, bx, r2x, _ = _ols_line(db[:, 0], force[:, 0])
     ky, by, r2y, _ = _ols_line(db[:, 1], force[:, 1])

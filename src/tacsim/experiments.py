@@ -164,65 +164,54 @@ class CharacterizeResult:
 
 
 def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) -> CharacterizationSweep:
-    """Stream one location's press schedule through the pipeline."""
+    """Stream one location's press schedule through the pipeline as one hold."""
     ch = cfg.section("characterize")
-    probe = ch["probe_radius_mm"]
+    probe, dwell = ch["probe_radius_mm"], ch["dwell_frames"]
 
-    schedule = []
     fz_grid = np.arange(0.0, ch["force_max_n"] + ch["force_step_n"] / 2, ch["force_step_n"])
-    for fz in fz_grid:
-        schedule.append((0.0, 0.0, float(fz)))
     shear_grid = np.arange(
         -ch["shear_max_n"], ch["shear_max_n"] + ch["shear_step_n"] / 2, ch["shear_step_n"]
     )
-    for fx in shear_grid:
-        schedule.append((float(fx), 0.0, ch["shear_hold_n"]))
-    for fy in shear_grid:
-        schedule.append((0.0, float(fy), ch["shear_hold_n"]))
+    forces = [(0.0, 0.0, float(fz)) for fz in fz_grid]
+    forces += [(float(fx), 0.0, ch["shear_hold_n"]) for fx in shear_grid]
+    forces += [(0.0, float(fy), ch["shear_hold_n"]) for fy in shear_grid]
 
     idle = ContactStimulus(location_mm=location, force_n=(0.0, 0.0, 0.0), probe_radius_mm=probe)
     front = FrontEnd([sensor], _stream_config(cfg), idle)
-
+    rows = front.hold([
+        (ContactStimulus(location_mm=location, force_n=force, probe_radius_mm=probe), dwell, None)
+        for force in forces
+    ])
+    means = rows.reshape(len(forces), dwell, 19)[:, -ch["tail_frames"]:].mean(axis=1)
     cop = pressure_centroid(location, probe)
-    samples = []
-    for force in schedule:
-        stimulus = ContactStimulus(location_mm=location, force_n=force, probe_radius_mm=probe)
-        mean = front.hold(stimulus, ch["dwell_frames"])[-ch["tail_frames"]:, 0].mean(axis=0)
-        samples.append(
-            SweepSample(
-                force_true_n=np.array(force),
-                location_true_mm=cop.copy(),
-                fa1_rel=mean[:16].reshape(FA1_SHAPE),
-                sa2_rel=mean[16:],
-            )
-        )
+    samples = [
+        SweepSample(force_true_n=np.array(force), location_true_mm=cop.copy(),
+                    fa1_rel=mean[:16].reshape(FA1_SHAPE), sa2_rel=mean[16:])
+        for force, mean in zip(forces, means)
+    ]
     return CharacterizationSweep(location_label=label, samples=samples)
 
 
 def _evaluate_sweep(sweep: CharacterizationSweep, params: CalibrationParams) -> LocationMetrics:
-    loc_sq, force_sq, torque_sq = [], [], []
-    force_axis_sq = []
-    for s in sweep.samples:
-        f_est = estimate_force(s, params)
-        force_axis_sq.append((f_est - s.force_true_n) ** 2)
-        force_sq.extend((f_est - s.force_true_n) ** 2)
-        try:
-            loc_est = estimate_location(s.fa1_rel, params.pitch_mm)
-        except NoContact:
-            continue
-        loc_sq.append(np.sum((loc_est - s.location_true_mm) ** 2))
-        tau_est = estimate_torque(loc_est, f_est)
-        tau_true = estimate_torque(s.location_true_mm, s.force_true_n)
-        torque_sq.extend((tau_est - tau_true) ** 2)
-    if not loc_sq:
+    """Score a sweep's samples as one batch; rows of no contact leave location and torque out."""
+    force, cop = sweep.force_truth(), np.array([s.location_true_mm for s in sweep.samples])
+    pooled = SweepSample(force, cop, np.array([s.fa1_rel for s in sweep.samples]), sweep.delta_b())
+    f_est = estimate_force(pooled, params)
+    force_sq = (f_est - force) ** 2
+    loc_est = estimate_location(pooled.fa1_rel, params.pitch_mm)
+    located = ~np.isnan(loc_est[:, 0])
+    if not located.any():
         raise NoContact(f"no sample at {sweep.location_label} reached the taxel threshold")
+    loc_sq = np.sum((loc_est[located] - cop[located]) ** 2, axis=1)
+    tau_est = estimate_torque(loc_est[located], f_est[located])
+    tau_true = estimate_torque(cop[located], force[located])
     return LocationMetrics(
         label=sweep.location_label,
         n_samples=len(sweep.samples),
         location_rmse_mm=float(np.sqrt(np.mean(loc_sq))),
         force_rmse_n=float(np.sqrt(np.mean(force_sq))),
-        force_axis_rmse_n=np.sqrt(np.mean(np.array(force_axis_sq), axis=0)),
-        torque_rmse_nmm=float(np.sqrt(np.mean(torque_sq))),
+        force_axis_rmse_n=np.sqrt(np.mean(force_sq, axis=0)),
+        torque_rmse_nmm=float(np.sqrt(np.mean((tau_est - tau_true) ** 2))),
     )
 
 
@@ -288,39 +277,32 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     (sensor,) = _sensors(cfg)
     d = cfg.section("disturbance")
     angle = np.deg2rad(d["rotation_deg"])
-    repeats = d["repeats"]
+    repeats, dwell = d["repeats"], d["dwell_frames"]
 
     idle = ContactStimulus(force_n=(0.0, 0.0, 0.0))
     reference = np.eye(3)
     disturb_pose = rot_x(angle)
     front = FrontEnd([sensor], _stream_config(cfg), idle, reference)
 
-    def measure(orientation):
-        """Mean flux over the tail of one dwell at ``orientation``."""
-        rows = front.hold(idle, d["dwell_frames"], orientation)
-        return rows[-d["tail_frames"]:, 0, 16:].mean(axis=0)
+    def measure(poses):
+        """Mean flux over the tail of each dwell, the poses held in turn as one schedule."""
+        rows = front.hold([(idle, dwell, pose) for pose in poses])
+        return rows.reshape(len(poses), dwell, 19)[:, -d["tail_frames"]:, 16:].mean(axis=1)
 
-    # phase 1: uncompensated disturbance
-    pre = []
-    for _ in range(repeats):
-        measure(reference)
-        pre.append(measure(disturb_pose))
+    # phase 1: uncompensated disturbance, each dwell at the pose after one at the reference
+    pre = measure([reference, disturb_pose] * repeats)[1::2]
     d_pre = float(np.mean([np.linalg.norm(v) for v in pre]))
 
     # phase 2: multi-axis calibration rotations
-    observations = []
-    for pose in (rot_x(angle), rot_y(angle), rot_x(-angle), rot_y(-angle)):
-        measure(reference)
-        delta = measure(pose)
-        observations.append(RotationObservation(rotation=pose.T, delta_b_ut=delta))
-    b_e, report = estimate_earth_field(observations)
+    poses = (rot_x(angle), rot_y(angle), rot_x(-angle), rot_y(-angle))
+    deltas = measure([p for pose in poses for p in (reference, pose)])[1::2]
+    b_e, report = estimate_earth_field(
+        RotationObservation(rotation=pose.T, delta_b_ut=delta) for pose, delta in zip(poses, deltas)
+    )
 
     # phase 3: same poses with the estimated field cancelled
-    post = []
-    for _ in range(repeats):
-        measure(reference)
-        delta = measure(disturb_pose)
-        post.append(delta - predicted_disturbance(b_e, disturb_pose.T))
+    post = measure([reference, disturb_pose] * repeats)[1::2]
+    post = post - predicted_disturbance(b_e, disturb_pose.T)
     d_post = float(np.mean([np.linalg.norm(v) for v in post]))
 
     signal = effective_signal(sensor.magnet, cfg.get("sensor", "gap_mm"), model="cylinder")
@@ -491,7 +473,7 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     records = np.recarray((n_frames, len(sensors)), FRAME_DTYPE)
     records.timestamp_us = dt_us * np.arange(1, n_frames + 1)[:, None]
     for j, sensor in enumerate(sensors):
-        counts, flux = sensor.sample_block(idle, n_frames)
+        counts, flux = sensor.sample_block([(idle, n_frames, None)])
         records.finger_id[:, j] = sensor.finger_id
         records.fa1[:, j] = counts.reshape((n_frames,) + FA1_SHAPE)
         records.sa2[:, j] = flux

@@ -15,6 +15,7 @@ policies:
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +101,12 @@ class RigidObject:
     stiffness_n_per_mm: float = 500.0
     crush_force_n = None
 
+    def __post_init__(self):
+        if not 0.0 < self.stiffness_n_per_mm < math.inf:
+            raise ValueError("stiffness must be positive and finite")
+        if not math.isfinite(self.size_mm):
+            raise ValueError("size must be finite")
+
     def contact_force(self, separation_mm: float) -> float:
         return max(0.0, (self.size_mm - separation_mm) * self.stiffness_n_per_mm)
 
@@ -140,6 +147,8 @@ class Tweezers:
             raise ValueError("spring rates must be positive")
         if not (0.0 <= self.object_size_mm <= self.tip_gap_mm):
             raise ValueError("object must fit between the open tips")
+        if not self.tip_ratio > 0.0:
+            raise ValueError("tip ratio must be positive")
 
     def contact_force(self, separation_mm: float) -> float:
         squeeze = self.outer_width_mm - separation_mm
@@ -338,7 +347,7 @@ class GraspSimulation:
         state.tick = idle - 1
         if idle < self.stream.init_samples:
             for sensor in self.sensors:
-                sensor.sample_block(stimulus, idle)
+                sensor.sample_block([(stimulus, idle, None)])
             return trace
         front = FrontEnd(self.sensors, self.stream, stimulus)
 
@@ -355,7 +364,7 @@ class GraspSimulation:
             force = self._contact_force(state)
             end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
-            signals = grip_signal(front.hold(stimulus, end - start + 1), self.policy.blend)
+            signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
 
             for tick, signal in zip(range(start, end + 1), signals):
                 state.tick = tick

@@ -5,9 +5,9 @@ smooth with the causal moving average.  Baselines come from the tail of the
 initialization window (the sensor must be idle while it runs).
 
 Every study that filters frames runs this chain through ``FrontEnd``, which
-takes one held stimulus at a time as an array block.  ``StreamProcessor``
-runs it one frame at a time; it is the oracle that ``FrontEnd`` matches bit
-for bit.
+takes a whole schedule of held stimuli as one array block.
+``StreamProcessor`` runs it one frame at a time; it is the oracle that
+``FrontEnd`` matches bit for bit.
 
 ``FRAME_DTYPE`` is the one raw frame record: ``stream`` fills an array of
 them, the binary codec is their bytes, the CSV log a row per record.  Every
@@ -183,36 +183,38 @@ def moving_average(values, window: int) -> np.ndarray:
 
 
 class FrontEnd:
-    """``k`` sensors on the stream front end, fed one held stimulus at a time.
+    """``k`` sensors on the stream front end, fed one schedule of held stimuli at a time.
 
     The constructor samples the initialization window on the ``idle``
     stimulus as one block per sensor, in list order, and keeps a ``(k, 19)``
     baseline from their tails.  Each ``hold`` stacks one block per sensor
-    into ``(n, k, 19)``, subtracts the baseline and runs the moving average
+    into ``(N, k, 19)``, subtracts the baseline and runs the moving average
     along axis 0, on over the last ``ma_window - 1`` frames of the previous
     hold, so sensor *j*'s rows equal, bit for bit, what a ``StreamProcessor``
-    gives frame by frame.  A sensor is anything with a ``sample_block``.
+    gives frame by frame, however the frames are split into holds.  A sensor
+    is anything with a ``sample_block``.
     """
 
     def __init__(self, sensors, config: StreamConfig, idle, orientation=None):
         self.sensors = sensors
         self.config = config
-        blocks = [sensor.sample_block(idle, config.init_samples, orientation) for sensor in sensors]
+        blocks = [sensor.sample_block([(idle, config.init_samples, orientation)]) for sensor in sensors]
         baselines = [baseline_from_arrays(counts, flux, config) for counts, flux in blocks]
         self.baseline = np.array([np.concatenate([b.fa1_mean.ravel(), b.sa2_mean]) for b in baselines])
         self._history = np.empty((0,) + self.baseline.shape)
 
-    def hold(self, stimulus, n: int, orientation=None) -> np.ndarray:
-        """Hold ``stimulus`` for ``n`` frames; their ``(n, k, 19)`` filtered rows.
+    def hold(self, schedule) -> np.ndarray:
+        """Hold each ``(stimulus, n, orientation)`` entry in turn; their ``(N, k, 19)`` filtered rows.
 
         Each row is 16 taxels (row-major) then 3 flux axes, baseline-subtracted
         and smoothed.
         """
-        parts = [part for sensor in self.sensors for part in sensor.sample_block(stimulus, n, orientation)]
-        block = np.concatenate(parts, axis=1).reshape((n,) + self.baseline.shape)
+        parts = [part for sensor in self.sensors for part in sensor.sample_block(schedule)]
+        frames = len(parts[0])
+        block = np.concatenate(parts, axis=1).reshape((frames,) + self.baseline.shape)
         rows = np.concatenate([self._history, block - self.baseline])
         self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):]
-        return moving_average(rows, self.config.ma_window)[len(rows) - n:]
+        return moving_average(rows, self.config.ma_window)[len(rows) - frames:]
 
 
 class StreamProcessor:

@@ -319,36 +319,43 @@ class TactileSensor:
         self.env = env if env is not None else Environment()
         self.finger_id = finger_id
 
-    def sample_block(self, stimulus: ContactStimulus, n: int, orientation=None):
-        """``n`` consecutive frames of one held stimulus.
+    def sample_block(self, schedule):
+        """Consecutive frames of a schedule of held stimuli.
 
-        Returns ``(n, 16)`` integer counts and ``(n, 3)`` float32 flux (uT).
-        The noise-free response is computed once; the noise of all ``n``
-        frames is one draw whose row *i* holds frame *i*'s draws in the
-        per-frame order (16 taxels, then 3 flux axes; a source that is off
-        draws nothing), so the block equals ``n`` calls of ``sample`` bit for
-        bit and leaves the RNG in the same state.
+        A schedule is a sequence of ``(stimulus, n, orientation)`` entries,
+        held in turn.  Returns ``(N, 16)`` integer counts and ``(N, 3)``
+        float32 flux (uT) for the schedule's ``N`` frames.  The noise-free
+        response is computed once per entry, before any noise is drawn.  The
+        noise of all frames is one draw whose row *i* holds frame *i*'s draws
+        in the per-frame order (16 taxels, then 3 flux axes; a source that is
+        off draws nothing).  So the block equals chained one-entry blocks, and
+        ``N`` calls of ``sample``, bit for bit, and leaves the RNG in the same
+        state.
         """
         env = self.env
-        reading = _fa1_reading(stimulus, self.elastomer).reshape(1, 16).repeat(n, axis=0)
-        b = _sa2_field(stimulus, self.magnet, self.elastomer, env, orientation)
-        b = b.reshape(1, 3).repeat(n, axis=0)
+        frames = sum(n for _, n, _ in schedule)
+        reading, b = np.empty((frames, 16)), np.empty((frames, 3))
+        end = 0
+        for stimulus, n, R in schedule:
+            start, end = end, end + n
+            reading[start:end] = _fa1_reading(stimulus, self.elastomer).reshape(16)
+            b[start:end] = _sa2_field(stimulus, self.magnet, self.elastomer, env, R)
         fa1_on, sa2_on = env.fa1_noise_counts > 0.0, env.sa2_noise_ut > 0.0
         scale = [env.fa1_noise_counts] * (16 if fa1_on else 0)
         scale += [env.sa2_noise_ut] * (3 if sa2_on else 0)
         if scale:
-            # rng.normal(0.0, scale, size=(n, k)) element by element: numpy
+            # rng.normal(0.0, scale, size=(N, k)) element by element: numpy
             # computes loc + scale * z.  Its broadcasting path for an array
             # scale is ~3x slower on short blocks.
-            noise = 0.0 + np.array(scale) * env.rng.standard_normal((n, len(scale)))
+            noise = 0.0 + np.array(scale) * env.rng.standard_normal((frames, len(scale)))
             if fa1_on:
-                reading = reading + noise[:, :16]
+                reading += noise[:, :16]
             if sa2_on:
-                b = b + noise[:, -3:]
+                b += noise[:, -3:]
         return _fa1_counts(reading), _quantize_flux(b, env.quantization_ut).astype(np.float32)
 
     def sample(self, stimulus: ContactStimulus, timestamp_us: int, orientation=None) -> TactileFrame:
-        counts, flux = self.sample_block(stimulus, 1, orientation)
+        counts, flux = self.sample_block([(stimulus, 1, orientation)])
         return TactileFrame(
             timestamp_us=timestamp_us,
             finger_id=self.finger_id,

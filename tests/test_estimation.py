@@ -3,7 +3,9 @@ import pytest
 
 from tacsim.errors import NoContact, RankDeficientFit
 from tacsim.estimation import (
+    CONTACT_THRESHOLD_COUNTS,
     DEFAULT_JOINT_CENTER_MM,
+    DEFAULT_PITCH_MM,
     CalibrationParams,
     CharacterizationSweep,
     SweepSample,
@@ -12,9 +14,11 @@ from tacsim.estimation import (
     estimate_torque,
     fit_calibration,
     load_calibration,
+    mixed_z_channel,
     save_calibration,
     select_blend,
 )
+from tacsim.sensor import TAXEL_X_MM, TAXEL_Y_MM
 
 
 def uniform_fa1(total):
@@ -158,6 +162,75 @@ def test_torque_is_orthogonal_to_arm_and_force(rng):
         r = np.array([loc[0], loc[1], 0.0]) - np.asarray(DEFAULT_JOINT_CENTER_MM)
         assert abs(tau @ r) <= 1e-9 * max(1.0, np.linalg.norm(tau) * np.linalg.norm(r))
         assert abs(tau @ force) <= 1e-9 * max(1.0, np.linalg.norm(tau) * np.linalg.norm(force))
+
+
+def per_sample_location(fa1_rel, pitch_mm):
+    """The estimators one sample at a time, as written before they took batches."""
+    r = np.asarray(fa1_rel, dtype=float)
+    if r.max() <= CONTACT_THRESHOLD_COUNTS:
+        raise NoContact("no contact")
+    r = np.clip(r, 0.0, None)
+    denom = r.sum()
+    x = float((TAXEL_X_MM / DEFAULT_PITCH_MM * pitch_mm * r).sum() / denom)
+    y = float((TAXEL_Y_MM / DEFAULT_PITCH_MM * pitch_mm * r).sum() / denom)
+    return np.array([x, y])
+
+
+def per_sample_force(rel_frame, params):
+    db = np.asarray(rel_frame.sa2, dtype=float)
+    fx = params.k[0] * db[0] + params.b[0]
+    fy = params.k[1] * db[1] + params.b[1]
+    fz = params.k[2] * mixed_z_channel(db[2], np.sum(rel_frame.fa1), params) + params.b[2]
+    return np.array([fx, fy, float(fz)])
+
+
+def per_sample_torque(location_mm, force_n, joint):
+    contact = np.array([location_mm[0], location_mm[1], 0.0])
+    return np.cross(contact - np.asarray(joint, dtype=float), np.asarray(force_n, dtype=float))
+
+
+def test_estimators_on_a_batch_equal_per_sample_calls(rng):
+    # log-normal readings, so a change in summation order shows in the last
+    # bits; rows 3 and 7 reach no taxel threshold
+    n = 12
+    rows = rng.lognormal(3.0, 2.0, size=(n, 19)) * rng.choice([-1.0, 1.0], size=(n, 19))
+    rows[[3, 7], :16] = rng.uniform(-50.0, 5.0, size=(2, 16))
+    fa1, sa2 = rows[:, :16].reshape(n, 4, 4), rows[:, 16:]  # strided views, as a pooled sweep
+    params = CalibrationParams(k=(3e-3, -2e-3, 0.4), b=(0.01, 0.0, -0.2), blend=0.35,
+                               scale_bz=700.0, scale_sum=3000.0)
+    joint = (6.0, 6.5, -9.0)
+    force = estimate_force(SweepSample(rows[:, 16:], rows[:, :2], fa1, sa2), params)
+    loc = estimate_location(fa1, pitch_mm=2.7)
+    torque = estimate_torque(np.nan_to_num(loc), force, joint)
+    assert force.shape == (n, 3) and loc.shape == (n, 2) and torque.shape == (n, 3)
+    for i in range(n):
+        one = SweepSample(None, None, fa1[i].copy(), sa2[i].copy())
+        for want in (estimate_force(one, params), per_sample_force(one, params)):
+            np.testing.assert_array_equal(force[i].view(np.uint64), want.view(np.uint64))
+        if i in (3, 7):
+            assert np.isnan(loc[i]).all()
+            with pytest.raises(NoContact):
+                estimate_location(fa1[i].copy(), pitch_mm=2.7)
+            continue
+        for want in (estimate_location(fa1[i].copy(), pitch_mm=2.7),
+                     per_sample_location(fa1[i].copy(), 2.7)):
+            np.testing.assert_array_equal(loc[i].view(np.uint64), want.view(np.uint64))
+        for want in (estimate_torque(loc[i], force[i], joint),
+                     per_sample_torque(loc[i], force[i], joint)):
+            np.testing.assert_array_equal(torque[i].view(np.uint64), want.view(np.uint64))
+
+
+def test_estimators_keep_their_single_sample_shapes():
+    fa1 = np.full((4, 4), 9.0)
+    assert estimate_location(fa1).shape == (2,)
+    assert estimate_location(fa1[None]).shape == (1, 2)
+    with pytest.raises(NoContact):
+        estimate_location(np.zeros((4, 4)))
+    assert np.isnan(estimate_location(np.zeros((1, 4, 4)))).all()
+    sample = SweepSample(np.zeros(3), np.zeros(2), fa1, np.ones(3))
+    assert estimate_force(sample, CalibrationParams()).shape == (3,)
+    assert estimate_torque((6.25, 6.25), (1.0, 0.0, 0.0)).shape == (3,)
+    assert estimate_torque([(6.25, 6.25)], [(1.0, 0.0, 0.0)]).shape == (1, 3)
 
 
 def test_params_validation():

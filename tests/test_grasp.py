@@ -128,6 +128,25 @@ def test_object_validation():
         Tweezers(arm_rate_n_per_mm=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"stiffness_n_per_mm": -1.0}, {"stiffness_n_per_mm": 0.0},
+    {"stiffness_n_per_mm": float("nan")}, {"stiffness_n_per_mm": float("inf")},
+    {"size_mm": float("nan")}, {"size_mm": float("inf")}, {"size_mm": -float("inf")},
+])
+def test_rigid_object_refuses_what_breaks_a_falling_force(kwargs):
+    # a negative stiffness makes the force rise with separation, against the
+    # contract the grasp's lookahead rests on
+    with pytest.raises(ValueError):
+        RigidObject(**kwargs)
+
+
+@pytest.mark.parametrize("tip_ratio", [0.0, -1.0, float("nan")])
+def test_tweezers_refuse_a_tip_ratio_that_is_not_positive(tip_ratio):
+    # 0.0 used to raise ZeroDivisionError from contact_force
+    with pytest.raises(ValueError):
+        Tweezers(tip_ratio=tip_ratio)
+
+
 def test_contact_force_shapes():
     assert NoObject().contact_force(1.0) == 0.0
     assert RigidObject().contact_force(50.0) == 0.0
@@ -473,12 +492,12 @@ def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_
 
 
 def recorded_holds(monkeypatch):
-    """The ``n`` of every ``FrontEnd.hold`` call from here on."""
+    """The frame count of every ``FrontEnd.hold`` call from here on."""
     sizes, hold = [], pipeline.FrontEnd.hold
 
-    def recording(self, stimulus, n, orientation=None):
-        sizes.append(n)
-        return hold(self, stimulus, n, orientation)
+    def recording(self, schedule):
+        sizes.append(sum(n for _, n, _ in schedule))
+        return hold(self, schedule)
 
     monkeypatch.setattr(pipeline.FrontEnd, "hold", recording)
     return sizes

@@ -187,7 +187,7 @@ def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
     front = FrontEnd([sensor], _stream_config(cfg), idle)
     got = []
     for stimulus, pose in schedule:
-        mean = front.hold(stimulus, dwell, pose)[-tail:, 0].mean(axis=0)
+        mean = front.hold([(stimulus, dwell, pose)])[-tail:, 0].mean(axis=0)
         got.append((mean[:16].reshape(4, 4), mean[16:]))
 
     # oracle: every frame through the streaming front end
@@ -229,12 +229,58 @@ def test_front_end_of_two_sensors_matches_one_front_end_each(window, hold):
     each = [FrontEnd([sensor], config, idle) for sensor in singles]
     np.testing.assert_array_equal(both.baseline, np.concatenate([f.baseline for f in each]))
     for stimulus, pose in schedule:
-        got = both.hold(stimulus, hold, pose)
+        got = both.hold([(stimulus, hold, pose)])
         assert got.shape == (hold, 2, 19)
-        want = np.concatenate([f.hold(stimulus, hold, pose) for f in each], axis=1)
+        want = np.concatenate([f.hold([(stimulus, hold, pose)]) for f in each], axis=1)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     for x, y in zip(pair, singles):
         assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
+def schedule_entries():
+    """Entries with repeats, orientations, an empty dwell and -0.0/+0.0 force pairs."""
+    def press(fx, fz):
+        return ContactStimulus(location_mm=(4.5, 8.0), force_n=(fx, -0.1, fz))
+
+    return [
+        (press(0.0, 0.5), 7, None), (press(0.2, 1.0), 3, rot_x(0.8)), (press(-0.0, 0.5), 5, None),
+        (press(0.0, 0.5), 1, None), (press(0.2, 1.0), 9, rot_x(0.8)), (press(0.0, 0.0), 4, rot_y(-0.6)),
+        (press(0.0, -0.0), 2, rot_y(-0.6)), (press(0.0, 0.5), 0, None), (press(0.2, 1.0), 6, None),
+        (press(0.0, 1.5), 12, rot_y(-0.6).tolist()),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("window", [1, 6, 8])
+def test_a_schedule_holds_as_its_entries_held_in_turn(k, window):
+    config = StreamConfig(init_samples=20, baseline_tail=5, ma_window=window)
+    idle = ContactStimulus(location_mm=(4.5, 8.0))
+
+    def front_end():
+        sensors = [
+            TactileSensor(env=Environment(seed=(3, f), earth_field_ut=(25.0, -10.0 * f, 40.0)), finger_id=f)
+            for f in range(k)
+        ]
+        return FrontEnd(sensors, config, idle)
+
+    whole, chained = front_end(), front_end()
+    entries = schedule_entries()
+    for _ in range(2):  # the second schedule runs on over the first one's history
+        got = whole.hold(entries)
+        want = np.concatenate([chained.hold([entry]) for entry in entries])
+        assert got.shape == (sum(n for _, n, _ in entries), k, 19)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(whole._history.view(np.uint64), chained._history.view(np.uint64))
+        for x, y in zip(whole.sensors, chained.sensors):
+            assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
+def test_an_empty_schedule_draws_nothing():
+    sensor = TactileSensor(env=Environment(seed=5))
+    state = sensor.env.rng.bit_generator.state
+    counts, flux = sensor.sample_block([])
+    assert counts.shape == (0, 16) and flux.shape == (0, 3)
+    assert sensor.env.rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

@@ -222,14 +222,14 @@ def test_earth_field_enters_through_orientation(elastomer):
 
 
 CALLS_WITH_ORIENTATION = {
-    "sample_block": lambda sensor, R: sensor.sample_block(press(1.0), 3, R),
+    "sample_block": lambda sensor, R: sensor.sample_block([(press(1.0), 3, R)]),
     "sample": lambda sensor, R: sensor.sample(press(1.0), 0, R),
     "sample_sa2": lambda sensor, R: sample_sa2(
         press(1.0), sensor.magnet, sensor.elastomer, sensor.env, R
     ),
     "FrontEnd": lambda sensor, R: FrontEnd([sensor], StreamConfig(), press(0.0), R),
     "FrontEnd.hold": lambda sensor, R: FrontEnd([sensor], StreamConfig(), press(0.0)).hold(
-        press(1.0), 3, R
+        [(press(1.0), 3, R)]
     ),
 }
 
@@ -329,7 +329,7 @@ def test_sample_block_equals_per_frame_samples(noise, elastomer):
     pose = axis_angle((1.0, -2.0, 0.5), 0.9)
     n = 25
     block = _block_sensor(elastomer, noise)
-    counts, flux = block.sample_block(stimulus, n, orientation=pose)
+    counts, flux = block.sample_block([(stimulus, n, pose)])
     assert counts.shape == (n, 16) and counts.dtype.kind == "i"
     assert flux.shape == (n, 3) and flux.dtype == np.float32
 

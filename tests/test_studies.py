@@ -10,7 +10,7 @@ import pytest
 
 from tacsim import cli, pipeline
 from tacsim.config import load_config
-from tacsim.experiments import run_grasp
+from tacsim.experiments import run_characterize, run_disturbance, run_grasp
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -115,6 +115,18 @@ def test_default_grasps_hold_few_blocks(overrides, most_holds, monkeypatch):
     monkeypatch.setattr(pipeline.FrontEnd, "hold", lambda *args: calls.append(args) or hold(*args))
     run_grasp(load_config(overrides=overrides))
     assert 0 < len(calls) <= most_holds
+
+
+@pytest.mark.parametrize(
+    "run, holds", [(run_characterize, 5), (run_disturbance, 3)], ids=["characterize", "disturbance"]
+)
+def test_open_loop_studies_hold_one_schedule_per_sweep(run, holds, monkeypatch):
+    # one FrontEnd.hold per location, and one per disturbance phase; one per
+    # dwell would be 135 and 20
+    calls, hold = [], pipeline.FrontEnd.hold
+    monkeypatch.setattr(pipeline.FrontEnd, "hold", lambda *args: calls.append(args) or hold(*args))
+    run(load_config())
+    assert len(calls) == holds
 
 
 @pytest.mark.parametrize(
