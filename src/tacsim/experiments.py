@@ -40,6 +40,7 @@ from .grasp import (
     NoObject,
     RigidObject,
     SingleThreshold,
+    TraceRow,
     Tweezers,
     tweezers_linearity_study,
 )
@@ -434,9 +435,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
     if out_dir is not None:
         out_files.append(_write_csv(
             cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"),
-            ["tick", "phase", "finger", "motor_deg", "signal", "contact_force_n", "event"],
-            ([r.tick, r.phase, r.finger, r.motor_deg, r.signal, r.contact_force_n, r.event]
-             for r in trace.rows),
+            TraceRow._fields, trace.rows,
         ))
         if linearity is not None:
             fit = (f"slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"

@@ -16,8 +16,9 @@ policies:
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class SingleThreshold:
     blend: float = 0.3
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        if not (0.0 < self.threshold < math.inf and 0.0 <= self.blend <= 1.0):
+            raise ValueError("threshold must be positive and finite, blend in [0, 1]")
 
     @property
     def close_threshold(self) -> float:
@@ -56,10 +57,10 @@ class HysteresisPolicy:
     blend: float = 0.3
 
     def __post_init__(self):
-        if self.release_below <= 0.0 or self.close_above <= 0.0:
-            raise ValueError("thresholds must be positive")
-        if self.release_below >= self.close_above:
-            raise ValueError("release threshold must sit below the close threshold")
+        if not 0.0 < self.release_below < self.close_above < math.inf:
+            raise ValueError("thresholds must be finite, positive, and release below close")
+        if not (0.0 <= self.hold_s < math.inf and 0.0 <= self.blend <= 1.0):
+            raise ValueError("hold time must be finite and not negative, blend in [0, 1]")
 
     @property
     def close_threshold(self) -> float:
@@ -73,13 +74,13 @@ class GripperGeometry:
     increment_deg: float = 1.5
     max_travel_deg: float = 200.0
 
+    def __post_init__(self):
+        if not all(0.0 < v < math.inf for v in astuple(self)):
+            raise ValueError("geometry must be positive and finite")
+
     @property
     def mm_per_deg(self) -> float:
         return self.pinion_radius_mm * np.pi / 180.0
-
-    @property
-    def mm_per_increment(self) -> float:
-        return self.increment_deg * self.mm_per_deg
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +119,10 @@ class Egg:
     crush_force_n: float = 25.0
 
     def __post_init__(self):
-        if self.stiffness_n_per_mm <= 0.0 or self.crush_force_n <= 0.0:
-            raise ValueError("stiffness and crush force must be positive")
+        if not all(0.0 < v < math.inf for v in (self.stiffness_n_per_mm, self.crush_force_n)):
+            raise ValueError("stiffness and crush force must be positive and finite")
+        if not math.isfinite(self.size_mm):
+            raise ValueError("size must be finite")
 
     def contact_force(self, separation_mm: float) -> float:
         return max(0.0, (self.size_mm - separation_mm) * self.stiffness_n_per_mm)
@@ -143,12 +146,13 @@ class Tweezers:
     crush_force_n = None
 
     def __post_init__(self):
-        if self.arm_rate_n_per_mm <= 0.0 or self.spring_rate_n_per_mm <= 0.0:
-            raise ValueError("spring rates must be positive")
-        if not (0.0 <= self.object_size_mm <= self.tip_gap_mm):
-            raise ValueError("object must fit between the open tips")
-        if not self.tip_ratio > 0.0:
-            raise ValueError("tip ratio must be positive")
+        rates = (self.arm_rate_n_per_mm, self.spring_rate_n_per_mm, self.tip_ratio)
+        if not all(0.0 < v < math.inf for v in rates):
+            raise ValueError("spring rates and tip ratio must be positive and finite")
+        if not 0.0 <= self.object_size_mm <= self.tip_gap_mm < math.inf:
+            raise ValueError("object must fit between the open tips, and the tips be finite")
+        if not math.isfinite(self.outer_width_mm):
+            raise ValueError("outer width must be finite")
 
     def contact_force(self, separation_mm: float) -> float:
         squeeze = self.outer_width_mm - separation_mm
@@ -255,8 +259,9 @@ def controller_step(
     return inc, events
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One finger at one tick; the fields in order are the trace CSV's columns."""
+
     tick: int
     phase: str
     finger: int
@@ -292,13 +297,11 @@ class GraspSimulation:
     the crush check keep the object's force.
 
     ``run`` gives, bit for bit, what a per-tick ``sensor.sample`` ->
-    ``StreamProcessor.process`` loop gives, but samples and filters each
-    stretch of constant stimulus as one block per finger:
+    ``StreamProcessor.process`` -> ``controller_step`` loop gives, but works
+    on stretches of constant stimulus:
 
-    * The gripper idles through the initialization window, so the stimulus
-      is the force at full opening throughout; one ``FrontEnd`` over both
-      fingers samples the window as one block per finger and sets their
-      baselines.
+    * The gripper idles through the initialization window; one ``FrontEnd``
+      samples it as one block per finger and sets their baselines.
     * After that the motor moves only on gated ticks (``tick % ma_window ==
       0``).  A segment runs past every gate that provably leaves the force
       unchanged: closing, while the farthest motor pair reachable gives the
@@ -306,7 +309,11 @@ class GraspSimulation:
       gate after the hysteresis release; releasing, to the next gate.  It
       is one ``FrontEnd.hold``, an ``(n, 2, 19)`` block for its ``n`` ticks
       (each finger has its own RNG, so these are the per-tick draws), and
-      one ``grip_signal`` call; only the controller and the trace run per tick.
+      one ``grip_signal`` call.
+    * In a segment ``controller_step`` runs only where it can act: on the
+      gates while closing or releasing, and on the hysteresis release tick.
+      Phase and motors hold in between, so those ticks go into the trace's
+      columns in bulk; the rows are made from the columns once, at the end.
     * No segment passes ``max_ticks``, nor, while closing, the first tick
       the loop could stop or release at if a hold started at the next gate,
       so no frame past the last tick is drawn.
@@ -332,64 +339,78 @@ class GraspSimulation:
         self.stop_force_n = min(travel_stop_force_n(sensor.elastomer) for sensor in sensors)
 
     def run(self, max_ticks: int = 2000) -> GraspTrace:
-        state = GripperState()
-        trace = GraspTrace(rows=[], events=[], state=state)
-        rows, events = trace.rows, trace.events
+        state, events = GripperState(), []
         idle = min(max_ticks, self.stream.init_samples)
         if idle < 1:
-            return trace
+            return GraspTrace([], events, state)
 
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
         stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
-        for tick in range(idle):
-            rows += [TraceRow(tick, Phase.IDLE.value, f, 0.0, 0.0, force, "") for f in range(2)]
+        # the trace's columns, two entries per tick: finger 0, then finger 1
+        phases, motors, values, forces, labels = (
+            [v] * 2 * idle for v in (Phase.IDLE.value, 0.0, 0.0, force, ""))
         state.tick = idle - 1
-        if idle < self.stream.init_samples:
+        if idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
             for sensor in self.sensors:
                 sensor.sample_block([(stimulus, idle, None)])
-            return trace
-        front = FrontEnd(self.sensors, self.stream, stimulus)
+        else:
+            front = FrontEnd(self.sensors, self.stream, stimulus)
 
         gate, rate = self.step_interval_ticks, self.stream.sample_rate_hz
         single = not isinstance(self.policy, HysteresisPolicy)
-        # ticks from a hold's start to where the loop returns (single threshold)
-        # or to the release, replaying controller_step's hold_elapsed_s += dt_s
-        elapsed = itertools.accumulate(itertools.repeat(self.dt_s, max_ticks))  # 0.0 + dt_s is dt_s
+        # elapsed[k]: controller_step's hold_elapsed_s k ticks into a hold (0.0 + dt_s is dt_s);
+        # hold_ticks: from a hold's start to the single-threshold cut-off or to the release
+        elapsed = list(itertools.accumulate(itertools.repeat(self.dt_s, max_ticks), initial=0.0))
         hold_ticks = rate if single else next(
-            (n for n, e in enumerate(elapsed, 1) if e >= self.policy.hold_s), max_ticks)
-        hold_tick = None  # the hold's start
-        start = idle
+            (n for n, e in enumerate(elapsed[1:], 1) if e >= self.policy.hold_s), max_ticks)
+        hold_tick, start = None, idle  # hold_tick: the hold's start
         while start < max_ticks:
+            if state.phase is Phase.IDLE:  # the first tick after the window
+                state.phase = Phase.CLOSING
+                events.append((start, "closing_start"))
             force = self._contact_force(state)
             end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
 
-            for tick, signal in zip(range(start, end + 1), signals):
-                state.tick = tick
-                if state.phase is Phase.IDLE:
-                    state.phase = Phase.CLOSING
-                    events.append((tick, "closing_start"))
-                _, tick_events = controller_step(
-                    state, self.policy, signal, self.geometry, self.dt_s,
-                    step_gate=(tick % gate == 0),
-                )
-                events += [(tick, name) for name in tick_events]
-                phase, motors, values = state.phase.value, state.motor_deg.tolist(), signal.tolist()
-                labels = [";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit())
-                          for f in range(2)] if tick_events else ("", "")
-                rows += [TraceRow(tick, phase, f, motors[f], values[f], force, labels[f]) for f in range(2)]
-                if state.phase is Phase.DONE:
-                    return trace
+            tick = start
+            while True:
+                if state.phase is Phase.HOLDING:  # the next tick the controller can act on
+                    act = max_ticks if single else hold_tick + hold_ticks
+                else:
+                    act = -(-tick // gate) * gate
+                n = min(act, end + 1) - tick  # ticks that leave phase and motors as they are
+                phases += [state.phase.value] * 2 * n
+                motors += state.motor_deg.tolist() * n
+                labels += [""] * 2 * n
+                if state.phase is Phase.HOLDING and not single:
+                    state.hold_elapsed_s = elapsed[tick + n - 1 - hold_tick]
+                if act > end:
+                    break
+                state.tick = act
+                _, tick_events = controller_step(state, self.policy, signals[act - start], self.geometry,
+                                                 self.dt_s, step_gate=(act % gate == 0))
+                events += [(act, name) for name in tick_events]
+                phases += [state.phase.value] * 2
+                motors += state.motor_deg.tolist()
+                labels += [";".join(e for e in tick_events if e.endswith(f) or not e[-1].isdigit())
+                           for f in "01"]
                 if "hold_start" in tick_events:
-                    hold_tick = tick
-                # single-threshold holds indefinitely; a short settled window
-                # is enough evidence for the study
-                if single and hold_tick is not None and tick - hold_tick >= rate:
-                    return trace
+                    hold_tick = act
+                tick = act + 1
+
+            values += signals.ravel().tolist()
+            forces += [force] * signals.size
+            state.tick, state.signal = end, signals[-1]
+            # done comes at a releasing gate, which ends its segment; a single-threshold hold
+            # never ends, but a settled window (no segment passes its cut-off) is evidence enough
+            if state.phase is Phase.DONE or (single and hold_tick is not None and end - hold_tick >= rate):
+                break
             start = end + 1
-        return trace
+        ticks = (np.arange(len(phases)) // 2).tolist()
+        rows = zip(ticks, phases, itertools.cycle((0, 1)), motors, values, forces, labels)
+        return GraspTrace(list(map(TraceRow._make, rows)), events, state)
 
     def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
         """Last tick of the segment from ``start``: the force holds through it

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tacsim import pipeline
+from tacsim import grasp, pipeline
 from tacsim.errors import CrushDetected, GraspFailed, RankDeficientFit
 from tacsim.grasp import (
     Egg,
@@ -105,6 +105,38 @@ def test_grip_signal_rows_match_the_scalar_formula(magnitude):
 # ---------------------------------------------------------------------------
 # policies and objects
 # ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, kwargs", [
+    (SingleThreshold, {"threshold": NAN}),
+    (SingleThreshold, {"threshold": INF}),
+    (SingleThreshold, {"blend": NAN}),
+    (HysteresisPolicy, {"blend": 1.5}),
+    (HysteresisPolicy, {"close_above": NAN}),
+    (HysteresisPolicy, {"release_below": NAN}),
+    (HysteresisPolicy, {"close_above": INF}),
+    (HysteresisPolicy, {"hold_s": NAN}),
+    (HysteresisPolicy, {"hold_s": INF}),
+    (HysteresisPolicy, {"hold_s": -1.0}),
+    (Egg, {"size_mm": NAN}),
+    (Egg, {"stiffness_n_per_mm": INF}),
+    (Egg, {"crush_force_n": NAN}),
+    (Tweezers, {"outer_width_mm": NAN}),
+    (Tweezers, {"tip_gap_mm": INF}),
+    (Tweezers, {"arm_rate_n_per_mm": INF}),
+    (Tweezers, {"spring_rate_n_per_mm": NAN}),
+    (Tweezers, {"tip_ratio": INF}),
+    (GripperGeometry, {"increment_deg": NAN}),
+    (GripperGeometry, {"opening_mm": INF}),
+    (GripperGeometry, {"max_travel_deg": 0.0}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_grasp_parameters_must_be_finite(build, kwargs):
+    # a NaN crush force, for one, would let the egg take any force uncrushed
+    with pytest.raises(ValueError):
+        build(**kwargs)
+
 
 def test_policy_validation():
     with pytest.raises(ValueError):
@@ -469,13 +501,18 @@ def kernel_case(obj, policy, stream, noise):
         (EGG, SINGLE, StreamConfig(), {}, 300),
         (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
         (EGG, SINGLE, StreamConfig(), {}, 400),
+        (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
+        (EGG, HysteresisPolicy(hold_s=0.0), StreamConfig(**SHORT_INIT), {}, 3000),
+        (NoObject(), QUICK_HOLD, StreamConfig(ma_window=50, **SHORT_INIT), {}, 1000),
+        (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 610),  # releases at 596, done at 624
     ] + [(obj, policy, StreamConfig(**SHORT_INIT), {}, max_ticks) for obj, policy, max_ticks in MERGED.values()],
     ids=[
         "egg-ma1", "egg-default", "egg-ma8", "egg-ma50",
         "fa1-noise-off", "sa2-noise-off", "quantization-off", "all-noise-off",
         "tweezers-hysteresis", "tweezers-hysteresis-ma8",
         "max-ticks-0", "max-ticks-below-init", "max-ticks-equal-init", "max-ticks-one-past-init",
-        "max-ticks-mid-segment", *MERGED,
+        "max-ticks-mid-segment", "tweezers-hysteresis-ma1", "hysteresis-hold-0",
+        "none-hysteresis-ma50", "max-ticks-mid-release", *MERGED,
     ],
 )
 def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
@@ -528,3 +565,23 @@ def test_kernel_raises_crush_as_the_frame_by_frame_loop_does(egg, survives_ticks
         per_frame_run(sim(), 3000)
     assert str(kernel.value) == str(frames.value)
     assert len(sim().run(survives_ticks).rows) == 2 * survives_ticks
+
+
+@pytest.mark.parametrize(
+    "obj, policy, stream",
+    [(EGG, SINGLE, StreamConfig()), (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT))],
+    ids=["egg-default", "tweezers-hysteresis"],
+)
+def test_the_controller_runs_only_where_it_can_act(obj, policy, stream, monkeypatch):
+    # off the gates the controller can only start the hold timer's release
+    calls, step = [], grasp.controller_step
+
+    def recording(state, *args, step_gate=True):
+        calls.append((state.tick, step_gate))
+        return step(state, *args, step_gate=step_gate)
+
+    monkeypatch.setattr(grasp, "controller_step", recording)
+    trace = kernel_case(obj, policy, stream, {}).run(3000)
+    allowed = {trace.event_tick("release_start"), stream.init_samples}
+    assert calls and all(gated or tick in allowed for tick, gated in calls)
+    assert len(calls) <= (len(trace.rows) // 2 - stream.init_samples) // stream.ma_window + 2
