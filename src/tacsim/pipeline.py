@@ -306,22 +306,46 @@ def decode_frames(buf: bytes) -> np.recarray:
     return _as_records(np.frombuffer(buf, FRAME_DTYPE))
 
 
+def _slots(texts) -> np.ndarray:
+    """Texts (or integers, as decimal texts) as the NUL-padded rows of a ``(len, width)`` byte array."""
+    texts = np.asarray(texts, "S")
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+
 def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
+    """Write the records of ``frames`` as a CSV log that ``read_frames_csv`` reads back bit for bit.
+
+    An optional ``# comment`` line ends in ``\\n``; the header and every row
+    end in ``\\r\\n``, as ``csv.writer`` writes them.  The rows are one
+    ``(n, W)`` byte array of NUL-padded slots, each a field's text and its
+    comma, gathered from tables of the 1,024 count texts and of the texts of
+    the distinct flux bit patterns; it is written with the NULs dropped.
+    MalformedRecord, before the file is opened, for a record the reader
+    would refuse or a comment of more than one line.
+    """
     records = _as_records(frames)
+    if header_comment and ("\n" in header_comment or "\r" in header_comment):
+        raise MalformedRecord("header comment must be one line")
     n = len(records)
     # format each distinct float32 bit pattern once; keying on values would
     # merge -0.0 into +0.0
     patterns, which = np.unique(records.sa2.view(np.uint32).ravel(), return_inverse=True)
-    texts = np.array([np.format_float_positional(v, unique=True, trim="0")
-                      for v in patterns.view(np.float32)], dtype=object)
-    flux = texts[which.reshape(n, 3)].tolist()
-    rows = np.column_stack([records.timestamp_us, records.finger_id, records.fa1.reshape(n, 16)])
+    flux = _slots([np.format_float_positional(v, unique=True, trim="0") + ","
+                   for v in patterns.view(np.float32)])
+    counts = _slots([f"{v}," for v in range(ADC_MAX + 1)])  # finger ids (0..255) index it too
+    comma, newline = (np.full((n, 1), ord(c), np.uint8) for c in ",\n")
+    body = np.concatenate([
+        _slots(records.timestamp_us), comma,
+        counts.take(records.finger_id, axis=0),
+        counts.take(records.fa1.reshape(n, 16), axis=0).reshape(n, 16 * counts.shape[1]),
+        flux.take(which.reshape(n, 3), axis=0).reshape(n, 3 * flux.shape[1]),
+        newline,  # the last flux comma and this make the row's \r\n
+    ], axis=1)
     with Path(path).open("w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(row + flux_row for row, flux_row in zip(rows.tolist(), flux))
+        csv.writer(fh).writerow(CSV_HEADER)
+        fh.write(body.tobytes().translate(None, b"\0").replace(b",\n", b"\r\n").decode("ascii"))
 
 
 def read_frames_csv(path) -> np.recarray:

@@ -148,12 +148,6 @@ def pressure_centroid(location_mm, probe_radius_mm: float = DEFAULT_PROBE_RADIUS
     return np.array([(w * TAXEL_X_MM).sum(), (w * TAXEL_Y_MM).sum()])
 
 
-@dataclass
-class Fa1Sample:
-    counts: np.ndarray
-    saturated: bool
-
-
 def fa1_gain(elastomer: ElastomerSpec) -> float:
     # counts per unit strain
     return elastomer.rest_resistance * elastomer.gauge_factor
@@ -180,16 +174,12 @@ def _fa1_counts(reading: np.ndarray) -> np.ndarray:
 
 def sample_fa1(
     stimulus: ContactStimulus, elastomer: ElastomerSpec, env: Environment
-) -> Fa1Sample:
-    """Integer taxel counts for one contact: noise is added before quantisation.
-
-    A count that the 10-bit range clips is flagged as ``saturated``.
-    """
+) -> np.ndarray:
+    """Integer 4x4 taxel counts for one contact: noise is added before quantisation."""
     reading = _fa1_reading(stimulus, elastomer)
     if env.fa1_noise_counts > 0.0:
         reading = reading + env.rng.normal(0.0, env.fa1_noise_counts, size=reading.shape)
-    saturated = bool(np.rint(reading).max() > ADC_MAX)
-    return Fa1Sample(counts=_fa1_counts(reading), saturated=saturated)
+    return _fa1_counts(reading)
 
 
 def compliance_mm_per_n(elastomer: ElastomerSpec) -> float:

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tacsim.config import load_config
 from tacsim.errors import InsufficientSamples, MalformedRecord
-from tacsim.experiments import _sensors, _stream_config, run_stream
+from tacsim.experiments import _header, _sensors, _stream_config, run_stream
 from tacsim.pipeline import (
     ADC_MAX,
     CSV_HEADER,
@@ -604,17 +605,77 @@ EXTREMES = [
 ]
 
 
+def records_of(rows):
+    return np.array([(timestamp, finger, np.reshape(counts, FA1_SHAPE), flux)
+                     for timestamp, finger, counts, flux in rows], FRAME_DTYPE)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(rows=st.lists(RECORD, max_size=20))
 @example(rows=EXTREMES)
 @example(rows=[])
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, rows):
-    records = np.array([(timestamp, finger, np.reshape(counts, FA1_SHAPE), flux)
-                        for timestamp, finger, counts, flux in rows], FRAME_DTYPE)
+    records = records_of(rows)
     path = tmp_path_factory.mktemp("log") / "log.csv"
     write_frames_csv(records, path)
     back = read_frames_csv(path)
     assert back.dtype == FRAME_DTYPE and back.tobytes() == records.tobytes()
+
+
+def write_frames_csv_oracle(records, path, header_comment=None):
+    """The CSV log as ``csv.writer`` writes it, one Python row per record: the byte-level reference."""
+    n = len(records)
+    patterns, which = np.unique(records["sa2"].view(np.uint32).ravel(), return_inverse=True)
+    texts = np.array([np.format_float_positional(v, unique=True, trim="0")
+                      for v in patterns.view(np.float32)], dtype=object)
+    flux = texts[which.reshape(n, 3)].tolist()
+    rows = np.column_stack([records["timestamp_us"], records["finger_id"], records["fa1"].reshape(n, 16)])
+    with path.open("w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(row + flux_row for row, flux_row in zip(rows.tolist(), flux))
+
+
+def assert_written_as_the_oracle(records, directory, header_comment=None):
+    write_frames_csv(records, directory / "log.csv", header_comment)
+    write_frames_csv_oracle(records, directory / "oracle.csv", header_comment)
+    assert (directory / "log.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+SIGNED_ZEROS = [(1, 0, [0] * 16, [0.0, -0.0, 0.0]), (2, 1, [1] * 16, [-0.0, 0.0, -0.0])]
+
+
+# the round trips compare parsed values, so only this sees the bytes and the line endings
+@pytest.mark.parametrize("comment", [None, "", "tacsim stream seed=0"], ids=["none", "empty", "text"])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(RECORD, max_size=20))
+@example(rows=EXTREMES)
+@example(rows=[])
+@example(rows=[(-(2**63), 0, [0] * 16, [1.5, -2.25, 0.0])])
+@example(rows=SIGNED_ZEROS)
+def test_csv_bytes_equal_the_csv_writer_oracle(tmp_path_factory, comment, rows):
+    assert_written_as_the_oracle(records_of(rows), tmp_path_factory.mktemp("log"), comment)
+
+
+def test_stream_log_bytes_equal_the_csv_writer_oracle(tmp_path):
+    cfg = load_config(overrides=["stream.duration_s=20"])
+    frames = run_stream(cfg, tmp_path).frames
+    assert len(frames) == 10_000
+    assert_written_as_the_oracle(frames, tmp_path, _header(cfg, "stream"))
+    assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "two\rlines"], ids=["newline", "carriage-return"])
+def test_a_comment_of_more_than_one_line_is_refused(tmp_path, comment):
+    # written anyway, the second line of the comment is read as the header
+    write_frames_csv_oracle(records_of([]), tmp_path / "oracle.csv", comment)
+    with pytest.raises(MalformedRecord, match="header"):
+        read_frames_csv(tmp_path / "oracle.csv")
+    with pytest.raises(MalformedRecord):
+        write_frames_csv([make_frame(1)], tmp_path / "log.csv", header_comment=comment)
+    assert list(tmp_path.iterdir()) == [tmp_path / "oracle.csv"]
 
 
 def test_one_second_of_stream_is_500_records_of_19_channels():
