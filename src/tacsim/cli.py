@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration problem or unusable --out, 1 runtime fail
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -23,7 +24,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="tacsim",
         description="Tactile fingertip sensor twin: simulation and analysis studies.",

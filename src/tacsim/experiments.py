@@ -33,6 +33,7 @@ from .estimation import (
     save_calibration,
 )
 from .grasp import (
+    TRACE_DTYPE,
     Egg,
     GraspSimulation,
     GripperGeometry,
@@ -40,7 +41,6 @@ from .grasp import (
     NoObject,
     RigidObject,
     SingleThreshold,
-    TraceRow,
     Tweezers,
     tweezers_linearity_study,
 )
@@ -78,20 +78,27 @@ def _out_path(out_dir, name: str) -> Path:
     return out_dir / name
 
 
-def _write_csv(cfg: Config, study: str, path: Path, columns, rows, notes=()) -> Path:
-    """Write one study CSV: the stamp and ``notes`` as comment lines, then the rows.
+def _cells(column) -> list:
+    """One column's cells: floats as their shortest round-trip repr, anything else as is."""
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return list(map(repr, values.astype(float).tolist()))
+    return values.tolist()
 
-    Every float cell is written as its shortest round-trip repr; any other
-    cell is written as is.
+
+def _write_csv(cfg: Config, study: str, path: Path, names, columns, notes=()) -> Path:
+    """Write one study CSV: the stamp and ``notes`` as comment lines, then the table.
+
+    ``columns`` holds the table's columns in the order of ``names``, each
+    of one kind of value.  A float column is written as the shortest
+    round-trip repr of each value (as float64); any other is written as is.
     """
     with path.open("w", newline="") as fh:
         for line in (_header(cfg, study), *notes):
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
-        w.writerow(columns)
-        w.writerows(
-            [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
-        )
+        w.writerow(names)
+        w.writerows(zip(*map(_cells, columns)))
     return path
 
 
@@ -232,15 +239,15 @@ def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
             cfg, "characterize", _out_path(out_dir, "characterize_report.csv"),
             ["location", "n_samples", "location_rmse_mm", "force_rmse_n",
              "fx_rmse_n", "fy_rmse_n", "fz_rmse_n", "torque_rmse_nmm"],
-            ([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
-              *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics),
+            zip(*([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
+                   *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics)),
         )
         samples = _write_csv(
             cfg, "characterize", _out_path(out_dir, "characterize_samples.csv"),
             ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
              "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"],
-            ([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
-             for sweep in sweeps for s in sweep.samples),
+            zip(*([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
+                  for sweep in sweeps for s in sweep.samples)),
         )
         out_files = [report, samples, _write_calibration(cfg, params, out_dir, "characterize")]
     return CharacterizeResult(sweeps=sweeps, params=params, metrics=metrics, out_files=out_files)
@@ -365,7 +372,7 @@ def run_snr_sweep(cfg: Config, out_dir=None) -> SnrReport:
         report.out_files.append(_write_csv(
             cfg, "snr-sweep", _out_path(out_dir, "snr_sweep.csv"),
             ["magnet_id", "dy_mm", "s_ut", "d_ut", "snr"],
-            ([r.magnet_id, r.dy_mm, r.signal_ut, r.disturbance_ut, r.snr] for r in report.rows),
+            zip(*([r.magnet_id, r.dy_mm, r.signal_ut, r.disturbance_ut, r.snr] for r in report.rows)),
         ))
     return report
 
@@ -435,7 +442,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
     if out_dir is not None:
         out_files.append(_write_csv(
             cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"),
-            TraceRow._fields, trace.rows,
+            TRACE_DTYPE.names, [trace.rows[name] for name in TRACE_DTYPE.names],
         ))
         if linearity is not None:
             fit = (f"slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"
@@ -443,7 +450,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
             out_files.append(_write_csv(
                 cfg, "grasp", _out_path(out_dir, "grasp_linearity.csv"),
                 ["object_size_mm", "hold_gap_mm"],
-                zip(linearity.sizes_mm, linearity.hold_gap_mm),
+                [linearity.sizes_mm, linearity.hold_gap_mm],
                 notes=[fit],
             ))
     return GraspResult(trace=trace, linearity=linearity, out_files=out_files)

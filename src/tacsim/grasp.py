@@ -18,7 +18,6 @@ import itertools
 import math
 from dataclasses import astuple, dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -259,21 +258,17 @@ def controller_step(
     return inc, events
 
 
-class TraceRow(NamedTuple):
-    """One finger at one tick; the fields in order are the trace CSV's columns."""
-
-    tick: int
-    phase: str
-    finger: int
-    motor_deg: float
-    signal: float
-    contact_force_n: float
-    event: str
+# one finger at one tick; the fields in order are the trace CSV's columns.  Text
+# fields are objects, so no phase or event label is ever cut short
+TRACE_DTYPE = np.dtype([
+    ("tick", np.int64), ("phase", object), ("finger", np.int64), ("motor_deg", np.float64),
+    ("signal", np.float64), ("contact_force_n", np.float64), ("event", object),
+])
 
 
 @dataclass
 class GraspTrace:
-    rows: list
+    rows: np.recarray  # TRACE_DTYPE records: finger 0, then finger 1, for each tick
     events: list
     state: GripperState
 
@@ -284,8 +279,8 @@ class GraspTrace:
         return None
 
     def separation_at(self, tick: int, geometry: GripperGeometry) -> float:
-        motor = [row.motor_deg for row in self.rows if row.tick == tick]
-        return geometry.opening_mm - sum(motor) * geometry.mm_per_deg
+        motor = self.rows.motor_deg[self.rows.tick == tick]
+        return float(geometry.opening_mm - motor.sum() * geometry.mm_per_deg)
 
 
 class GraspSimulation:
@@ -313,7 +308,8 @@ class GraspSimulation:
     * In a segment ``controller_step`` runs only where it can act: on the
       gates while closing or releasing, and on the hysteresis release tick.
       Phase and motors hold in between, so those ticks go into the trace's
-      columns in bulk; the rows are made from the columns once, at the end.
+      columns in bulk; the record array of rows is filled from the columns
+      once, at the end.
     * No segment passes ``max_ticks``, nor, while closing, the first tick
       the loop could stop or release at if a hold started at the next gate,
       so no frame past the last tick is drawn.
@@ -342,7 +338,7 @@ class GraspSimulation:
         state, events = GripperState(), []
         idle = min(max_ticks, self.stream.init_samples)
         if idle < 1:
-            return GraspTrace([], events, state)
+            return GraspTrace(np.recarray(0, TRACE_DTYPE), events, state)
 
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
@@ -408,9 +404,11 @@ class GraspSimulation:
             if state.phase is Phase.DONE or (single and hold_tick is not None and end - hold_tick >= rate):
                 break
             start = end + 1
-        ticks = (np.arange(len(phases)) // 2).tolist()
-        rows = zip(ticks, phases, itertools.cycle((0, 1)), motors, values, forces, labels)
-        return GraspTrace(list(map(TraceRow._make, rows)), events, state)
+        rows = np.zeros(len(phases), TRACE_DTYPE).view(np.recarray)  # np.empty: 10x slower with objects
+        rows.tick, rows.finger = np.divmod(np.arange(len(rows)), 2)
+        rows.phase, rows.motor_deg, rows.signal, rows.contact_force_n, rows.event = (
+            phases, motors, values, forces, labels)
+        return GraspTrace(rows, events, state)
 
     def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
         """Last tick of the segment from ``start``: the force holds through it
@@ -470,7 +468,7 @@ def tweezers_linearity_study(
     reaches a hold and RankDeficientFit for fewer than two distinct sizes.
     """
     sizes = np.asarray(sizes_mm, dtype=float)
-    if np.unique(sizes).size < 2:
+    if len(set(sizes.tolist())) < 2:  # np.unique would import numpy.ma
         raise RankDeficientFit("need at least two distinct object sizes")
     gaps = []
     for size in sizes:

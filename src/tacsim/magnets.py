@@ -15,6 +15,8 @@ Two evaluators are provided:
 float64 bit patterns) in a bounded LRU cache: the studies hold a stimulus
 for many frames and recalibrate the same markers, so most calls repeat an
 earlier one.  A cached result is the same read-only array on every hit.
+``calibrate_moment`` is memoised too: every grasp run builds its fingertips
+on the same marker, and the result is a frozen ``MagnetSpec``.
 
 Units: millimetres in, microtesla out, moments in A*m^2.  For the cylinder
 model the offset is measured from the centre of the magnet's bottom face
@@ -42,6 +44,9 @@ _QUAD_AXIAL = 3
 # distinct (magnet, offset) pairs kept by the cylinder_flux memo (~0.3 kB
 # each); a study meets at most ~120
 FLUX_CACHE_SIZE = 1024
+
+# distinct calibrations kept by the calibrate_moment memo; a study meets at most 4
+CALIBRATION_CACHE_SIZE = 64
 
 CALIBRATION_PROBE_MM = 1.0  # lateral displacement used to define the signal
 CALIBRATION_REL_TOL = 1e-6
@@ -139,6 +144,7 @@ def effective_signal(magnet: MagnetSpec, gap_mm: float, model: str = "cylinder")
     return float(np.linalg.norm(shifted - rest))
 
 
+@lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
 def calibrate_moment(
     target_signal_ut: float,
     gap_mm: float,
@@ -152,7 +158,8 @@ def calibrate_moment(
 
     Bisection on the moment; the signal is monotone in it.  Raises
     NoConvergence for non-positive targets and if the bracket/refinement
-    budget of 200 iterations is exhausted.
+    budget of 200 iterations is exhausted; a failure is not memoised, so
+    every call raises it afresh.
     """
     if target_signal_ut <= 0.0:
         raise NoConvergence("target signal must be positive")

@@ -320,12 +320,20 @@ def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
     ``(n, W)`` byte array of NUL-padded slots, each a field's text and its
     comma, gathered from tables of the 1,024 count texts and of the texts of
     the distinct flux bit patterns; it is written with the NULs dropped.
-    MalformedRecord, before the file is opened, for a record the reader
-    would refuse or a comment of more than one line.
+    The file is UTF-8.  MalformedRecord, before the file is opened, for a
+    record the reader would refuse or a comment of more than one line or
+    that UTF-8 cannot encode.
     """
     records = _as_records(frames)
-    if header_comment and ("\n" in header_comment or "\r" in header_comment):
-        raise MalformedRecord("header comment must be one line")
+    head = ""
+    if header_comment:
+        if "\n" in header_comment or "\r" in header_comment:
+            raise MalformedRecord("header comment must be one line")
+        head = f"# {header_comment}\n"
+    try:
+        head = (head + ",".join(CSV_HEADER) + "\r\n").encode()
+    except UnicodeEncodeError as exc:
+        raise MalformedRecord(f"header comment is not UTF-8 text: {exc.reason}") from None
     n = len(records)
     # format each distinct float32 bit pattern once; keying on values would
     # merge -0.0 into +0.0
@@ -341,11 +349,7 @@ def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
         flux.take(which.reshape(n, 3), axis=0).reshape(n, 3 * flux.shape[1]),
         newline,  # the last flux comma and this make the row's \r\n
     ], axis=1)
-    with Path(path).open("w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        csv.writer(fh).writerow(CSV_HEADER)
-        fh.write(body.tobytes().translate(None, b"\0").replace(b",\n", b"\r\n").decode("ascii"))
+    Path(path).write_bytes(head + body.tobytes().translate(None, b"\0").replace(b",\n", b"\r\n"))
 
 
 def read_frames_csv(path) -> np.recarray:
@@ -354,7 +358,7 @@ def read_frames_csv(path) -> np.recarray:
     Only lines that start with ``#`` are comments; a ``#`` elsewhere, a
     blank row or a quoted field is a bad row.
     """
-    with Path(path).open() as fh:
+    with Path(path).open(encoding="utf-8") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     if not lines or next(csv.reader(lines[:1])) != CSV_HEADER:
         raise MalformedRecord("unexpected CSV header")

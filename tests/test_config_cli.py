@@ -2,6 +2,7 @@ import configparser
 
 import pytest
 
+from tacsim import cli
 from tacsim.cli import main
 from tacsim.config import DEFAULTS, Config, dump_default_config, load_config
 from tacsim.errors import ConfigError
@@ -114,6 +115,19 @@ def test_cli_default_config(capsys):
     parser = configparser.ConfigParser()
     parser.read_string(out)
     assert parser["stream"]["rate_hz"] == "250"
+
+
+def test_main_calls_share_the_parser_but_not_its_values(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "grasp", lambda cfg, out: seen.append(cfg))
+    out = ["--out", str(tmp_path)]
+    assert main(["grasp", "--set", "grasp.object=rigid", "--seed", "5"] + out) == 0
+    assert main(["grasp", "--set", "grasp.policy=hysteresis"] + out) == 0
+    assert main(["grasp"] + out) == 0
+    assert [(c.get("grasp", "object"), c.get("grasp", "policy"), c.get("environment", "seed"))
+            for c in seen] == [("rigid", "single", 5), ("egg", "hysteresis", 20260814),
+                               ("egg", "single", 20260814)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_rejects_bad_override(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tacsim import grasp, pipeline
 from tacsim.errors import CrushDetected, GraspFailed, RankDeficientFit
 from tacsim.grasp import (
+    TRACE_DTYPE,
     Egg,
     GraspSimulation,
     GraspTrace,
@@ -16,7 +17,6 @@ from tacsim.grasp import (
     Phase,
     RigidObject,
     SingleThreshold,
-    TraceRow,
     Tweezers,
     controller_step,
     grip_signal,
@@ -446,11 +446,9 @@ def per_frame_run(sim, max_ticks):
             )
         events += [(tick, name) for name in tick_events]
         for f in range(2):
-            rows.append(TraceRow(
-                tick=tick, phase=state.phase.value, finger=f,
-                motor_deg=float(state.motor_deg[f]), signal=float(signal[f]),
-                contact_force_n=force,
-                event=";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
+            rows.append((
+                tick, state.phase.value, f, float(state.motor_deg[f]), float(signal[f]), force,
+                ";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
             ))
         if state.phase is Phase.DONE:
             break
@@ -458,7 +456,17 @@ def per_frame_run(sim, max_ticks):
             hold = max(t for t, name in events if name == "hold_start")
             if tick - hold >= sim.stream.sample_rate_hz:
                 break
-    return GraspTrace(rows=rows, events=events, state=state)
+    return GraspTrace(rows=np.array(rows, TRACE_DTYPE).view(np.recarray), events=events, state=state)
+
+
+def assert_same_rows(got, want):
+    """Every field of every row equal; floats by their bit patterns, so -0.0 is not 0.0."""
+    assert got.dtype == want.dtype == TRACE_DTYPE
+    for name in TRACE_DTYPE.names:
+        a, b = np.ascontiguousarray(got[name]), np.ascontiguousarray(want[name])
+        if a.dtype.kind == "f":
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        assert a.tolist() == b.tolist(), name
 
 
 SHORT_INIT = {"init_samples": 20, "baseline_tail": 5}
@@ -518,7 +526,7 @@ def kernel_case(obj, policy, stream, noise):
 def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
     kernel_sim, frame_sim = kernel_case(obj, policy, stream, noise), kernel_case(obj, policy, stream, noise)
     kernel, frames = kernel_sim.run(max_ticks), per_frame_run(frame_sim, max_ticks)
-    assert kernel.rows == frames.rows
+    assert_same_rows(kernel.rows, frames.rows)
     assert kernel.events == frames.events
     a, b = kernel.state, frames.state
     assert (a.phase, a.tick, a.hold_elapsed_s) == (b.phase, b.tick, b.hold_elapsed_s)

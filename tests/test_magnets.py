@@ -142,6 +142,23 @@ def test_zero_or_negative_target_rejected():
         calibrate_moment(-4.0, 3.0)
 
 
+def test_calibration_memo_returns_the_bisection_spec():
+    kwargs = dict(height_mm=1.0, diameter_mm=3.0, magnet_id=2, model="cylinder")
+    spec = calibrate_moment(580.0, 3.0, **kwargs)
+    assert calibrate_moment(580.0, 3.0, **kwargs) is spec
+    assert calibrate_moment.__wrapped__(580.0, 3.0, **kwargs) == spec
+    assert default_magnet(3.0) is spec
+
+
+@pytest.mark.parametrize("target", [0.0, 1e300], ids=["non-positive", "cannot-bracket"])
+def test_failed_calibrations_are_not_memoised(target):
+    for _ in range(2):
+        misses = calibrate_moment.cache_info().misses
+        with pytest.raises(NoConvergence):
+            calibrate_moment(target, 3.0, model="dipole")
+        assert calibrate_moment.cache_info().misses == misses + 1
+
+
 def test_cylinder_model_matches_monte_carlo_integration():
     # independent oracle: uniform Monte-Carlo integration over the magnet
     # volume with the same total moment; agreement within MC noise

@@ -678,6 +678,20 @@ def test_a_comment_of_more_than_one_line_is_refused(tmp_path, comment):
     assert list(tmp_path.iterdir()) == [tmp_path / "oracle.csv"]
 
 
+@pytest.mark.parametrize("comment", ["\ud800", "lone \udfff surrogate"], ids=["high", "low"])
+def test_a_comment_utf8_cannot_encode_is_refused_before_the_file_is_opened(tmp_path, comment):
+    with pytest.raises(MalformedRecord, match="UTF-8"):
+        write_frames_csv([make_frame(1)], tmp_path / "log.csv", header_comment=comment)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_ascii_comment_is_written_and_read_as_utf8(tmp_path):
+    path = tmp_path / "log.csv"
+    write_frames_csv([make_frame(1)], path, header_comment="flux in \u00b5T")
+    assert path.read_bytes().startswith("# flux in \u00b5T\n".encode("utf-8"))
+    assert_same_frames(read_frames_csv(path), [make_frame(1)])
+
+
 def test_one_second_of_stream_is_500_records_of_19_channels():
     config = StreamConfig()
     frames = []

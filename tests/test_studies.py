@@ -1,16 +1,22 @@
-"""Study outputs end to end: golden digests and config keys that must matter."""
+"""Study outputs end to end: golden digests, config keys that must matter, the
+study writer's bytes and the numpy modules the grasp studies load."""
 
+import csv
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tacsim
 from tacsim import cli, pipeline
 from tacsim.config import load_config
-from tacsim.experiments import run_characterize, run_disturbance, run_grasp
+from tacsim.experiments import _header, _write_csv, run_characterize, run_disturbance, run_grasp
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -138,3 +144,67 @@ def test_grasp_objects_run_at_the_default_config(overrides, hold_tick, tmp_path,
     argv = ["grasp", "--out", str(tmp_path)] + [a for o in overrides for a in ("--set", o)]
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert run_grasp(load_config(overrides=overrides)).trace.event_tick("hold_start") == hold_tick
+
+
+# ---------------------------------------------------------------------------
+# the study writer, column by column, against the per-cell writer
+# ---------------------------------------------------------------------------
+
+def write_csv_oracle(cfg, study, path, names, rows, notes=()):
+    """The study writer as it was, one cell at a time: the byte-level reference."""
+    with path.open("w", newline="") as fh:
+        for line in (_header(cfg, study), *notes):
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(names)
+        w.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        )
+    return path
+
+
+TABLES = {
+    "signed-zeros": [[0.0, -0.0, np.float64(-0.0), np.float64(0.0)]],
+    "tiny-huge-subnormal": [[1e-05, 1e16, 5e-324, -1.7976931348623157e308, 0.1]],
+    "float32": [np.array([0.1, -0.0, 3.4e38, 1e-45, 1 / 3], dtype=np.float32)],
+    "float64-mixed-with-float": [[np.float64(0.1), 0.2, np.float64(1 / 3), 2.5, np.float64(-1e-300)]],
+    "ints": [[0, -7, 2**62, 3], np.array([1, 2, 3, 4], dtype=np.int64)],
+    "text-int-float": [["L1", "a,b", 'q"uote', ""], [5, 6, 7, 8], [1.5, -0.0, 1e-05, 2.0]],
+    "empty": [[], []],
+}
+
+
+@pytest.mark.parametrize("columns", TABLES.values(), ids=TABLES.keys())
+@pytest.mark.parametrize("notes", [(), ("slope=0.5 intercept=-0.0", "second note")],
+                         ids=["no-notes", "notes"])
+def test_study_writer_bytes_equal_the_per_cell_writer(columns, notes, tmp_path):
+    cfg = load_config()
+    names = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*columns))
+    got = _write_csv(cfg, "probe", tmp_path / "columns.csv", names, columns, notes)
+    want = write_csv_oracle(cfg, "probe", tmp_path / "cells.csv", names, rows, notes)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the grasp studies import nothing of numpy that import tacsim did not
+# ---------------------------------------------------------------------------
+
+COLD_GRASPS = """
+import sys, tempfile
+import tacsim
+loaded = {name for name in sys.modules if name.startswith("numpy.")}
+from tacsim import cli
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["grasp"], ["grasp", "--set", "grasp.object=tweezers", "--set", "grasp.policy=hysteresis"]):
+        assert cli.main(argv + ["--out", out]) == 0
+print(" ".join(sorted({name for name in sys.modules if name.startswith("numpy.")} - loaded)))
+"""
+
+
+def test_grasp_studies_load_no_numpy_module_beyond_import_tacsim():
+    src = str(Path(tacsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_GRASPS], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
