@@ -2,7 +2,7 @@
 
     tacsim <command> [--config FILE] [--out DIR] [--seed N] [--set sec.key=v]...
 
-Exit codes: 0 success, 2 configuration problem or unusable --out, 1 runtime failure.
+Exit codes: 0 success, 2 configuration problem or unwritable output, 1 runtime failure.
 """
 
 import argparse
@@ -70,6 +70,9 @@ def main(argv=None) -> int:
     except TacsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     for path in getattr(result, "out_files", []):
         print(f"wrote {path}")
     return 0

@@ -23,11 +23,11 @@ IDENTITY_TOL = 1e-9
 RANK_TOL = 1e-9
 
 
-def snr(signal_ut: float, disturbance_ut: float) -> float:
-    """Signal fraction s / (s + d) in [0, 1] (not a power ratio)."""
-    if signal_ut <= 0.0:
+def snr(signal_ut, disturbance_ut):
+    """Signal fraction s / (s + d) in [0, 1] (not a power ratio), elementwise."""
+    if np.any(np.less_equal(signal_ut, 0.0)):
         raise InvalidSignal("signal strength must be positive")
-    if disturbance_ut < 0.0:
+    if np.any(np.less(disturbance_ut, 0.0)):
         raise InvalidSignal("disturbance magnitude cannot be negative")
     return signal_ut / (signal_ut + disturbance_ut)
 
@@ -107,44 +107,29 @@ def predicted_disturbance(b_e_ut, rotation) -> np.ndarray:
     return (R - np.eye(3)) @ np.asarray(b_e_ut, dtype=float)
 
 
-def cancel_earth_field(sa2_ut, b_e_ut, orientation) -> np.ndarray:
-    """Remove the earth contribution from a raw flux sample.
-
-    ``orientation`` is the sensor-to-world rotation of the pose at which
-    ``sa2_ut`` was measured; ``b_e_ut`` is the earth field in the world
-    (reference) frame.
-    """
-    R = np.asarray(orientation, dtype=float)
-    return np.asarray(sa2_ut, dtype=float) - R.T @ np.asarray(b_e_ut, dtype=float)
-
-
-@dataclass
-class SnrRow:
-    magnet_id: int
-    dy_mm: float
-    signal_ut: float
-    disturbance_ut: float
-    snr: float
-
-
 @dataclass
 class SnrReport:
-    rows: list
-    dy_mm: np.ndarray
+    """The sweep as columns: ``m`` markers by ``n`` lateral offsets."""
+
+    magnet_ids: np.ndarray  # (m,)
+    dy_mm: np.ndarray  # (n,)
+    signal_ut: np.ndarray  # (m,)
+    disturbance_ut: np.ndarray  # (m, n)
+    snr: np.ndarray  # (m, n)
     out_files: list = field(default_factory=list)
 
     def table(self, magnet_id: int) -> np.ndarray:
-        return np.array(
-            [[r.dy_mm, r.signal_ut, r.disturbance_ut, r.snr] for r in self.rows if r.magnet_id == magnet_id]
-        )
+        """``(n, 4)`` rows of dy, signal, disturbance and ratio for one marker."""
+        i = np.flatnonzero(self.magnet_ids == magnet_id)
+        n = len(self.dy_mm)
+        return np.column_stack([
+            np.tile(self.dy_mm, len(i)), np.repeat(self.signal_ut[i], n),
+            self.disturbance_ut[i].ravel(), self.snr[i].ravel(),
+        ])
 
     def argmax_ids(self) -> np.ndarray:
-        """Best marker id at each lateral offset."""
-        best = []
-        for dy in self.dy_mm:
-            rows = [r for r in self.rows if r.dy_mm == dy]
-            best.append(max(rows, key=lambda r: r.snr).magnet_id)
-        return np.array(best)
+        """Best marker id at each lateral offset; the first marker wins a tie."""
+        return self.magnet_ids[np.argmax(self.snr, axis=0)]
 
 
 def adjacent_snr_sweep(
@@ -164,18 +149,15 @@ def adjacent_snr_sweep(
     if dy_mm is None:
         dy_mm = np.arange(4.0, 30.0 + 0.5, 1.0)
     dy_mm = np.asarray(dy_mm, dtype=float)
-    rows = []
-    for magnet in magnets:
-        s = effective_signal(magnet, gap_mm, model="cylinder")
-        for dy in dy_mm:
-            d = float(np.linalg.norm(cylinder_flux(magnet, (0.0, -dy, -gap_mm))))
-            rows.append(
-                SnrRow(
-                    magnet_id=magnet.magnet_id,
-                    dy_mm=float(dy),
-                    signal_ut=s,
-                    disturbance_ut=d,
-                    snr=snr(s, d),
-                )
-            )
-    return SnrReport(rows=rows, dy_mm=dy_mm)
+    signal = np.array([effective_signal(magnet, gap_mm) for magnet in magnets])
+    disturbance = np.array([
+        [np.linalg.norm(cylinder_flux(magnet, (0.0, -dy, -gap_mm))) for dy in dy_mm]
+        for magnet in magnets
+    ])
+    return SnrReport(
+        magnet_ids=np.array([magnet.magnet_id for magnet in magnets]),
+        dy_mm=dy_mm,
+        signal_ut=signal,
+        disturbance_ut=disturbance,
+        snr=snr(signal[:, None], disturbance),
+    )

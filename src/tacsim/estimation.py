@@ -8,6 +8,7 @@ over the calibration sweep); the channel means end up absorbed in the
 fitted intercept, which keeps the zero-input output equal to ``b``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,10 @@ class CalibrationParams:
         self.b = np.asarray(self.b, dtype=float).reshape(3)
         if not (0.0 <= self.blend <= 1.0):
             raise ValueError("blend weight must lie in [0, 1]")
-        if self.pitch_mm <= 0.0:
-            raise ValueError("taxel pitch must be positive")
+        if not 0.0 < self.pitch_mm < math.inf:
+            raise ValueError("taxel pitch must be positive and finite")
+        if not (0.0 < self.scale_bz < math.inf and 0.0 < self.scale_sum < math.inf):
+            raise ValueError("channel scales must be positive and finite")
         if not np.all(np.isfinite(self.k)) or not np.all(np.isfinite(self.b)):
             raise ValueError("slopes and intercepts must be finite")
 

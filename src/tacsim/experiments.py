@@ -313,7 +313,7 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     post = post - predicted_disturbance(b_e, disturb_pose.T)
     d_post = float(np.mean([np.linalg.norm(v) for v in post]))
 
-    signal = effective_signal(sensor.magnet, cfg.get("sensor", "gap_mm"), model="cylinder")
+    signal = effective_signal(sensor.magnet, cfg.get("sensor", "gap_mm"))
     snr_pre = snr(signal, d_pre)
     snr_post = snr(signal, d_post)
     if snr_pre == 1.0:  # d_pre is 0, or too small to register beside the signal
@@ -369,10 +369,14 @@ def run_snr_sweep(cfg: Config, out_dir=None) -> SnrReport:
     dy = np.arange(s["dy_min_mm"], s["dy_max_mm"] + s["dy_step_mm"] / 2, s["dy_step_mm"])
     report = adjacent_snr_sweep(dy_mm=dy, gap_mm=cfg.get("sensor", "gap_mm"))
     if out_dir is not None:
+        m, n = report.snr.shape
         report.out_files.append(_write_csv(
             cfg, "snr-sweep", _out_path(out_dir, "snr_sweep.csv"),
             ["magnet_id", "dy_mm", "s_ut", "d_ut", "snr"],
-            zip(*([r.magnet_id, r.dy_mm, r.signal_ut, r.disturbance_ut, r.snr] for r in report.rows)),
+            [
+                np.repeat(report.magnet_ids, n), np.tile(report.dy_mm, m),
+                np.repeat(report.signal_ut, n), report.disturbance_ut.ravel(), report.snr.ravel(),
+            ],
         ))
     return report
 

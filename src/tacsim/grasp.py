@@ -173,9 +173,6 @@ class GripperState:
     hold_elapsed_s: float = 0.0
     tick: int = 0
 
-    def travel_mm(self, geometry: GripperGeometry) -> np.ndarray:
-        return self.motor_deg * geometry.mm_per_deg
-
 
 def grip_signal(rel, blend: float) -> np.ndarray:
     """Contact saliency of ``(..., 19)`` filtered relative rows; shape ``(...)``.

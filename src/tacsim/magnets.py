@@ -200,31 +200,21 @@ MARKER_CANDIDATES = (
 )
 
 
-def build_marker_set(gap_mm: float = 3.0, model: str = "cylinder") -> list[MagnetSpec]:
+def _calibrate_candidate(gap_mm: float, mid, diameter, height, signal) -> MagnetSpec:
+    """One ``MARKER_CANDIDATES`` entry, calibrated (cylinder model) at the rest gap."""
+    return calibrate_moment(
+        signal, gap_mm, height_mm=height, diameter_mm=diameter, magnet_id=mid, model="cylinder"
+    )
+
+
+def build_marker_set(gap_mm: float = 3.0) -> list[MagnetSpec]:
     """Calibrate all four candidate markers at the given rest gap."""
-    return [
-        calibrate_moment(
-            signal,
-            gap_mm,
-            height_mm=height,
-            diameter_mm=diameter,
-            magnet_id=mid,
-            model=model,
-        )
-        for mid, diameter, height, signal in MARKER_CANDIDATES
-    ]
+    return [_calibrate_candidate(gap_mm, *candidate) for candidate in MARKER_CANDIDATES]
 
 
-def default_magnet(gap_mm: float = 3.0, magnet_id: int = 2, model: str = "cylinder") -> MagnetSpec:
+def default_magnet(gap_mm: float = 3.0, magnet_id: int = 2) -> MagnetSpec:
     """The fingertip's own marker, calibrated at the rest gap."""
-    for mid, diameter, height, signal in MARKER_CANDIDATES:
-        if mid == magnet_id:
-            return calibrate_moment(
-                signal,
-                gap_mm,
-                height_mm=height,
-                diameter_mm=diameter,
-                magnet_id=mid,
-                model=model,
-            )
+    for candidate in MARKER_CANDIDATES:
+        if candidate[0] == magnet_id:
+            return _calibrate_candidate(gap_mm, *candidate)
     raise ValueError(f"unknown magnet id {magnet_id}")

@@ -159,9 +159,6 @@ class MovingAverage:
         self._buf.append(np.asarray(value, dtype=float))
         return np.mean(np.stack(list(self._buf)), axis=0)
 
-    def reset(self):
-        self._buf.clear()
-
 
 def moving_average(values, window: int) -> np.ndarray:
     """Filter a whole sequence (samples along axis 0) as ``MovingAverage`` does.
@@ -231,9 +228,6 @@ class StreamProcessor:
         self._baselines: dict[int, Baseline] = {}
         self._filters: dict[int, MovingAverage] = {}
         self._last_ts: dict[int, int] = {}
-
-    def baseline(self, finger_id: int) -> Baseline | None:
-        return self._baselines.get(finger_id)
 
     def process(self, frame: TactileFrame) -> RelativeFrame | None:
         fid = frame.finger_id

@@ -15,11 +15,6 @@ def rot_y(angle_rad: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rot_z(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def axis_angle(axis, angle_rad: float) -> np.ndarray:
     """Rodrigues formula for a rotation of angle_rad about `axis`."""
     a = np.asarray(axis, dtype=float)

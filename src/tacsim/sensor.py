@@ -24,7 +24,6 @@ from .pipeline import ADC_MAX, FA1_SHAPE, TactileFrame
 from .rotations import is_rotation
 
 TAXEL_PITCH_MM = 2.5
-TAXEL_ROWS = 4
 TAXEL_COLS = 4
 FACE_CENTER_MM = np.array([6.25, 6.25])
 
@@ -40,7 +39,6 @@ MAX_TRAVEL_FRACTION = 0.8
 BONE_BEARING_FRACTION = 0.6
 
 DEFAULT_PROBE_RADIUS_MM = 5.3
-FOOTPRINT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,15 +96,11 @@ class ContactStimulus:
 class Environment:
     """External conditions plus the explicitly carried RNG state.
 
-    ``orientation`` rotates sensor-frame vectors into the world frame; the
-    earth field is given in the world frame.  ``neighbors`` is a list of
-    (MagnetSpec, position_mm) pairs, each position locating the neighbour
-    magnet's bottom-face centre in this sensor's frame.
+    The earth field is given in the world frame; each sampling call poses
+    the sensor with its own sensor-to-world ``orientation``.
     """
 
     earth_field_ut: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    neighbors: tuple = ()
     fa1_noise_counts: float = 2.0
     sa2_noise_ut: float = 1.0
     quantization_ut: float = 0.15
@@ -115,9 +109,6 @@ class Environment:
 
     def __post_init__(self):
         self.earth_field_ut = np.asarray(self.earth_field_ut, dtype=float).reshape(3)
-        self.orientation = np.asarray(self.orientation, dtype=float)
-        if not is_rotation(self.orientation):
-            raise ValueError("orientation must be a proper rotation matrix")
         self.rng = np.random.default_rng(self.seed)
 
 
@@ -231,22 +222,19 @@ def _sa2_field(
     env: Environment,
     orientation=None,
 ) -> np.ndarray:
-    """Noise-free flux (uT) at the sensor: marker + earth + neighbours.
+    """Noise-free flux (uT) at the sensor: marker + earth.
 
     The earth field enters through the transpose of the sensor-to-world
-    rotation; neighbour markers contribute their static fields.
+    rotation ``orientation`` (``None`` is the identity).
     """
     delta = bone_displacement(stimulus.force_n, elastomer)
-    R = env.orientation
+    R = np.eye(3)
     if orientation is not None:
         R = np.asarray(orientation, dtype=float)
         if not is_rotation(R):
             raise ValueError("orientation must be a proper rotation matrix")
     b = magnet_field_at_sensor(magnet, delta, elastomer.sa2_thickness_mm)
-    b = b + R.T @ env.earth_field_ut
-    for spec, position in env.neighbors:
-        b = b + cylinder_flux(spec, -np.asarray(position, dtype=float))
-    return b
+    return b + R.T @ env.earth_field_ut
 
 
 def _quantize_flux(b: np.ndarray, step_ut: float) -> np.ndarray:
@@ -266,11 +254,6 @@ def sample_sa2(
     if env.sa2_noise_ut > 0.0:
         b = b + env.rng.normal(0.0, env.sa2_noise_ut, size=3)
     return _quantize_flux(b, env.quantization_ut)
-
-
-def rest_flux(magnet: MagnetSpec, elastomer: ElastomerSpec) -> np.ndarray:
-    """Marker field at zero displacement (no earth, no neighbours, no noise)."""
-    return magnet_field_at_sensor(magnet, np.zeros(3), elastomer.sa2_thickness_mm)
 
 
 def apply_hysteresis(displacement_series, backlash_mm: float, dead_zone_mm: float = 0.0):

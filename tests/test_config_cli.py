@@ -209,6 +209,25 @@ def test_out_that_is_not_a_directory_exits_two(out, tmp_path, capsys):
     assert (tmp_path / "file").read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("characterize", "calibration.txt"),
+        ("calibrate", "calibration.txt"),
+        ("disturbance", "disturbance_report.txt"),
+        ("snr-sweep", "snr_sweep.csv"),
+        ("grasp", "grasp_trace.csv"),
+        ("stream", "stream.csv"),
+    ],
+)
+def test_output_name_taken_by_a_directory_exits_two(command, name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    assert main([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"output error: cannot write {tmp_path / name}: " in err
+    assert "Traceback" not in err
+
+
 def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     code = main(
         [

@@ -4,15 +4,17 @@ import pytest
 from tacsim.disturbance import (
     RotationObservation,
     adjacent_snr_sweep,
-    cancel_earth_field,
     estimate_earth_field,
     predicted_disturbance,
     snr,
 )
 from tacsim.errors import DegenerateRotation, InvalidSignal, RankDeficient
-from tacsim.magnets import MagnetSpec, default_magnet
-from tacsim.rotations import axis_angle, rot_x, rot_y, rot_z
-from tacsim.sensor import ContactStimulus, rest_flux, sample_sa2
+from tacsim.magnets import MagnetSpec
+from tacsim.rotations import axis_angle, rot_x, rot_y
+
+
+def rot_z(angle):
+    return axis_angle((0.0, 0.0, 1.0), angle)
 
 
 def observe(b_e, rotations):
@@ -129,37 +131,6 @@ def test_predicted_disturbance_matches_definition():
     R = rot_y(0.9)
     b = np.array([5.0, -7.0, 11.0])
     np.testing.assert_allclose(predicted_disturbance(b, R), (R - np.eye(3)) @ b, atol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# cancellation
-# ---------------------------------------------------------------------------
-
-def test_cancel_then_restore_is_identity(rng):
-    for _ in range(20):
-        sa2 = rng.normal(size=3) * 100.0
-        b_e = rng.normal(size=3) * 50.0
-        R = axis_angle(rng.normal(size=3), rng.uniform(0.1, 3.0))
-        cleaned = cancel_earth_field(sa2, b_e, R)
-        np.testing.assert_allclose(cleaned + R.T @ b_e, sa2, atol=1e-12)
-
-
-def test_cancel_recovers_marker_component():
-    marker = np.array([12.0, -3.0, 1620.0])
-    b_e = np.array([20.0, 0.0, -43.0])
-    R = rot_z(1.2) @ rot_x(0.4)
-    raw = marker + R.T @ b_e
-    np.testing.assert_allclose(cancel_earth_field(raw, b_e, R), marker, atol=1e-12)
-
-
-def test_cancel_on_simulated_rest_sample(elastomer, quiet_env):
-    quiet_env.earth_field_ut = np.array([30.0, -10.0, 40.0])
-    magnet = default_magnet(elastomer.sa2_thickness_mm)
-    R = rot_y(0.7)
-    rest = ContactStimulus(force_n=(0.0, 0.0, 0.0), location_mm=(6.25, 6.25))
-    raw = sample_sa2(rest, magnet, elastomer, quiet_env, orientation=R)
-    cleaned = cancel_earth_field(raw, quiet_env.earth_field_ut, R)
-    np.testing.assert_allclose(cleaned, rest_flux(magnet, elastomer), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,22 @@ def test_blend_grid_covers_unit_interval():
     assert len(grid) == 21 and len(rmsd) == 21
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("pitch_mm", "nan"), ("pitch_mm", "inf"), ("scale_bz", "0.0"), ("scale_bz", "nan"),
+     ("scale_bz", "-387.0"), ("scale_sum", "0.0"), ("scale_sum", "inf"), ("scale_sum", "nan")],
+)
+def test_corrupt_calibration_file_is_refused(key, value, tmp_path):
+    params = fit_calibration([linear_sweep(3e-3, 1e-3, 2e-3, -1e-3, 3e-4, 0.02)], blend=0.0)
+    path = tmp_path / "cal.txt"
+    save_calibration(params, path)
+    lines = path.read_text().splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="positive and finite"):
+        load_calibration(path)
+
+
 def test_calibration_file_round_trip(tmp_path):
     params = fit_calibration([linear_sweep(3e-3, 1e-3, 2e-3, -1e-3, 3e-4, 0.02)], blend=0.0)
     path = tmp_path / "cal.txt"

@@ -425,7 +425,7 @@ def per_frame_run(sim, max_ticks):
     dt_us = int(round(1e6 / sim.stream.sample_rate_hz))
     for tick in range(max_ticks):
         state.tick = tick
-        separation = sim.geometry.opening_mm - state.travel_mm(sim.geometry).sum()
+        separation = sim.geometry.opening_mm - (state.motor_deg * sim.geometry.mm_per_deg).sum()
         force = sim.object_model.contact_force(separation)
         crush = sim.object_model.crush_force_n
         if crush is not None and force > crush:
