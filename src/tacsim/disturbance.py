@@ -150,9 +150,10 @@ def adjacent_snr_sweep(
         dy_mm = np.arange(4.0, 30.0 + 0.5, 1.0)
     dy_mm = np.asarray(dy_mm, dtype=float)
     signal = np.array([effective_signal(magnet, gap_mm) for magnet in magnets])
+    offsets = np.column_stack([np.zeros_like(dy_mm), -dy_mm, np.full_like(dy_mm, -gap_mm)])
+    # a norm per row: norm(..., axis=1) rounds differently
     disturbance = np.array([
-        [np.linalg.norm(cylinder_flux(magnet, (0.0, -dy, -gap_mm))) for dy in dy_mm]
-        for magnet in magnets
+        [np.linalg.norm(flux) for flux in cylinder_flux(magnet, offsets)] for magnet in magnets
     ])
     return SnrReport(
         magnet_ids=np.array([magnet.magnet_id for magnet in magnets]),

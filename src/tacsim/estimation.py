@@ -235,6 +235,7 @@ def save_calibration(params: CalibrationParams, path, metadata: dict | None = No
 
 
 def load_calibration(path) -> CalibrationParams:
+    """Read a ``save_calibration`` file; a missing or non-numeric key is a ValueError."""
     values: dict[str, str] = {}
     section = None
     with open(path) as fh:
@@ -247,18 +248,26 @@ def load_calibration(path) -> CalibrationParams:
                 continue
             key, _, val = line.partition("=")
             values[f"{section}.{key.strip()}"] = val.strip()
+
+    def parse(key: str, many: bool = False):
+        if key not in values:
+            raise ValueError(f"{path}: calibration key {key} is missing")
+        text = values[key]
+        try:
+            return np.array([float(v) for v in text.split(",")]) if many else float(text)
+        except ValueError:
+            raise ValueError(f"{path}: calibration key {key} = {text!r} is not a number") from None
+
     params = CalibrationParams(
-        k=np.array([float(values[f"calibration.k_{ax}"]) for ax in "xyz"]),
-        b=np.array([float(values[f"calibration.b_{ax}"]) for ax in "xyz"]),
-        blend=float(values["calibration.blend"]),
-        pitch_mm=float(values["calibration.pitch_mm"]),
-        scale_bz=float(values["calibration.scale_bz"]),
-        scale_sum=float(values["calibration.scale_sum"]),
+        k=np.array([parse(f"calibration.k_{ax}") for ax in "xyz"]),
+        b=np.array([parse(f"calibration.b_{ax}") for ax in "xyz"]),
+        blend=parse("calibration.blend"),
+        pitch_mm=parse("calibration.pitch_mm"),
+        scale_bz=parse("calibration.scale_bz"),
+        scale_sum=parse("calibration.scale_sum"),
     )
     if "diagnostics.r2" in values:
-        params.r2 = np.array([float(v) for v in values["diagnostics.r2"].split(",")])
+        params.r2 = parse("diagnostics.r2", many=True)
     if "diagnostics.rmsd_curve" in values:
-        params.rmsd_curve = np.array(
-            [float(v) for v in values["diagnostics.rmsd_curve"].split(",")]
-        )
+        params.rmsd_curve = parse("diagnostics.rmsd_curve", many=True)
     return params

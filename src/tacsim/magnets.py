@@ -11,12 +11,18 @@ Two evaluators are provided:
   in the interference study; with a pure point-dipole model every marker
   would have an identical signal-to-disturbance ratio by construction.
 
-``cylinder_flux`` is memoised on the magnet and the exact offset (its
-float64 bit patterns) in a bounded LRU cache: the studies hold a stimulus
-for many frames and recalibrate the same markers, so most calls repeat an
-earlier one.  A cached result is the same read-only array on every hit.
-``calibrate_moment`` is memoised too: every grasp run builds its fingertips
-on the same marker, and the result is a frozen ``MagnetSpec``.
+Both evaluate the same two steps: ``_dipole_geometry`` (unit vectors and
+cubed distances, independent of the moment) and ``_dipole_sum``.
+
+``cylinder_flux`` of one offset is memoised on the magnet and the exact
+offset (its float64 bit patterns) in a bounded LRU cache: the studies hold
+a stimulus for many frames, so most calls repeat an earlier one.  A cached
+result is the same read-only array on every hit.  Stacked ``(m, 3)``
+offsets are evaluated in one pass outside the memo.
+``calibrate_moment`` keeps the geometry of its two probe points and sums
+it per bisection step, so it does not go through ``cylinder_flux`` or its
+memo; it is memoised itself: every grasp run builds its fingertips on the
+same marker, and the result is a frozen ``MagnetSpec``.
 
 Units: millimetres in, microtesla out, moments in A*m^2.  For the cylinder
 model the offset is measured from the centre of the magnet's bottom face
@@ -42,7 +48,7 @@ _QUAD_ANGULAR = 8
 _QUAD_AXIAL = 3
 
 # distinct (magnet, offset) pairs kept by the cylinder_flux memo (~0.3 kB
-# each); a study meets at most ~120
+# each); a study meets at most ~30, calibration adding none
 FLUX_CACHE_SIZE = 1024
 
 # distinct calibrations kept by the calibrate_moment memo; a study meets at most 4
@@ -51,6 +57,12 @@ CALIBRATION_CACHE_SIZE = 64
 CALIBRATION_PROBE_MM = 1.0  # lateral displacement used to define the signal
 CALIBRATION_REL_TOL = 1e-6
 CALIBRATION_MAX_ITER = 200
+
+# calibrate_moment decides a step by the linear estimate alone when its
+# moment is more than this far (relative) from it
+_DECISION_MARGIN = 1e-9
+_EPS = float(np.finfo(float).eps)
+_ORIGIN = np.zeros((1, 3))  # the point dipole's single source
 
 
 @dataclass(frozen=True)
@@ -67,13 +79,31 @@ class MagnetSpec:
             raise ValueError("magnet moment and dimensions must be strictly positive")
 
 
-def _dipole_field(moment_vec: np.ndarray, r_mm: np.ndarray) -> np.ndarray:
-    """Field of point dipole(s) summed at a single point. r_mm is (n,3)."""
-    rn = np.linalg.norm(r_mm, axis=1)
-    rhat = r_mm / rn[:, None]
+def _dipole_geometry(r_mm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors ``(..., n, 3)`` and cubed distances ``(..., n, 1)`` of offsets."""
+    rn = np.linalg.norm(r_mm, axis=-1)[..., None]
+    return r_mm / rn, rn**3
+
+
+def _dipole_sum(moment_vec: np.ndarray, rhat: np.ndarray, rn3: np.ndarray) -> np.ndarray:
+    """Field of equal point dipoles summed over axis -2 of their geometry."""
     mdot = rhat @ moment_vec
-    contrib = (3.0 * mdot[:, None] * rhat - moment_vec) / rn[:, None] ** 3
-    return MU0_4PI_UT_MM3 * contrib.sum(axis=0)
+    contrib = (3.0 * mdot[..., None] * rhat - moment_vec) / rn3
+    return MU0_4PI_UT_MM3 * contrib.sum(axis=-2)
+
+
+def _check_dipole_offset(offset: np.ndarray) -> None:
+    if np.linalg.norm(offset) <= MIN_OFFSET_MM:
+        raise OffsetTooSmall(f"|offset| = {np.linalg.norm(offset):.3g} mm <= {MIN_OFFSET_MM} mm")
+
+
+def _check_cylinder_offset(offset: np.ndarray, diameter_mm: float, height_mm: float) -> None:
+    radial = max(0.0, float(np.hypot(offset[0], offset[1])) - 0.5 * diameter_mm)
+    axial = max(0.0, -offset[2], offset[2] - height_mm)
+    if np.hypot(radial, axial) <= MIN_OFFSET_MM:
+        raise OffsetTooSmall(
+            f"field point within {MIN_OFFSET_MM} mm of the magnet body"
+        )
 
 
 def dipole_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
@@ -83,10 +113,9 @@ def dipole_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
     (and the hardware) stops being meaningful.
     """
     offset = np.asarray(offset_mm, dtype=float).reshape(3)
-    if np.linalg.norm(offset) <= MIN_OFFSET_MM:
-        raise OffsetTooSmall(f"|offset| = {np.linalg.norm(offset):.3g} mm <= {MIN_OFFSET_MM} mm")
+    _check_dipole_offset(offset)
     moment_vec = np.array([0.0, 0.0, magnet.moment_a_m2])
-    return _dipole_field(moment_vec, offset[None, :])
+    return _dipole_sum(moment_vec, *_dipole_geometry(offset[None, :]))
 
 
 @lru_cache(maxsize=32)
@@ -104,32 +133,44 @@ def _cylinder_grid(diameter_mm: float, height_mm: float) -> np.ndarray:
     return np.array(pts)
 
 
+def _cylinder_field(magnet: MagnetSpec, offsets: np.ndarray) -> np.ndarray:
+    """Cylinder flux at ``(..., 3)`` offsets; the shell check is the caller's."""
+    pts = _cylinder_grid(magnet.diameter_mm, magnet.height_mm)
+    sub_moment = np.array([0.0, 0.0, magnet.moment_a_m2 / len(pts)])
+    return _dipole_sum(sub_moment, *_dipole_geometry(offsets[..., None, :] - pts))
+
+
 def cylinder_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
     """Flux density (uT) of the finite cylindrical magnet.
 
     ``offset_mm`` points from the centre of the magnet's bottom face to the
-    field point.  The total moment is spread uniformly over the volume.
-    Results are memoised and returned read-only.
+    field point.  The total moment is spread uniformly over the volume.  A
+    single offset's result is memoised and returned read-only; ``(m, 3)``
+    offsets give ``(m, 3)`` fluxes in one pass, not memoised, equal row for
+    row to the single-offset results.  Raises OffsetTooSmall if any field
+    point lies within 0.5 mm of the magnet body.
     """
-    return _cylinder_flux(magnet, np.asarray(offset_mm, dtype=float).reshape(3).tobytes())
+    offset = np.asarray(offset_mm, dtype=float)
+    if offset.ndim != 2:
+        return _cylinder_flux(magnet, offset.reshape(3).tobytes())
+    for row in offset:
+        _check_cylinder_offset(row, magnet.diameter_mm, magnet.height_mm)
+    return _cylinder_field(magnet, offset)
 
 
 @lru_cache(maxsize=FLUX_CACHE_SIZE)
 def _cylinder_flux(magnet: MagnetSpec, offset_bytes: bytes) -> np.ndarray:
     # keyed on the offset's float64 bit patterns, so a hit is bit-identical
     offset = np.frombuffer(offset_bytes)
-    radial = max(0.0, float(np.hypot(offset[0], offset[1])) - 0.5 * magnet.diameter_mm)
-    axial = max(0.0, -offset[2], offset[2] - magnet.height_mm)
-    if np.hypot(radial, axial) <= MIN_OFFSET_MM:
-        raise OffsetTooSmall(
-            f"field point within {MIN_OFFSET_MM} mm of the magnet body"
-        )
-    pts = _cylinder_grid(magnet.diameter_mm, magnet.height_mm)
-    r = offset[None, :] - pts
-    sub_moment = np.array([0.0, 0.0, magnet.moment_a_m2 / len(pts)])
-    flux = _dipole_field(sub_moment, r)
+    _check_cylinder_offset(offset, magnet.diameter_mm, magnet.height_mm)
+    flux = _cylinder_field(magnet, offset)
     flux.flags.writeable = False
     return flux
+
+
+def _check_model(model: str) -> None:
+    if model not in ("cylinder", "dipole"):
+        raise ValueError(f"unknown field model {model!r}; expected 'cylinder' or 'dipole'")
 
 
 def effective_signal(magnet: MagnetSpec, gap_mm: float, model: str = "cylinder") -> float:
@@ -137,11 +178,34 @@ def effective_signal(magnet: MagnetSpec, gap_mm: float, model: str = "cylinder")
 
     The sensor sits ``gap_mm`` below the magnet; shifting the magnet +1 mm
     in x moves the field point to (-1, 0, -gap) in magnet coordinates.
+    ``model`` is ``"cylinder"`` or ``"dipole"``; anything else is a
+    ValueError.
     """
+    _check_model(model)
     flux = cylinder_flux if model == "cylinder" else dipole_flux
     rest = flux(magnet, (0.0, 0.0, -gap_mm))
     shifted = flux(magnet, (-CALIBRATION_PROBE_MM, 0.0, -gap_mm))
     return float(np.linalg.norm(shifted - rest))
+
+
+def _linear_decision_band(target: float, unit: float, rn3: np.ndarray) -> tuple[float, float]:
+    """Moments outside ``(low, high)`` compare with the target as with ``target / unit``.
+
+    ``unit`` is the signal at moment 1 from sub-dipoles at cubed distances
+    ``rn3``.  A field term is at most ``4 * m / (n * rn3)``, so rounding
+    moves ``signal(m) / m`` off ``unit`` by at most ``eps * ((n + 8) * K + 5)``,
+    ``K`` the summed term bound over the signal.  Where that is under a
+    tenth of the margin the band is the margin; ``K`` grows about 5 per mm
+    of gap, so this also keeps every reachable signal far from under- and
+    overflow.  Elsewhere (gaps of about a metre or more, NaN geometry) the
+    band is unbounded and every step is evaluated.
+    """
+    n = rn3.shape[-2]
+    spread = 7.0 * MU0_4PI_UT_MM3 * float(np.sum(1.0 / rn3)) / n
+    if not (unit > 0.0 and _EPS * ((n + 8) * spread / unit + 5.0) <= 0.1 * _DECISION_MARGIN):
+        return -np.inf, np.inf
+    estimate = target / unit
+    return estimate * (1.0 - _DECISION_MARGIN), estimate * (1.0 + _DECISION_MARGIN)
 
 
 @lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
@@ -158,26 +222,55 @@ def calibrate_moment(
 
     Bisection on the moment; the signal is monotone in it.  Raises
     NoConvergence for non-positive targets and if the bracket/refinement
-    budget of 200 iterations is exhausted; a failure is not memoised, so
-    every call raises it afresh.
+    budget of 200 iterations is exhausted, and ValueError for a ``model``
+    other than ``"cylinder"`` or ``"dipole"``; a failure is not memoised,
+    so every call raises it afresh.
+
+    The result is bit for bit the bisection over ``effective_signal``, but
+    the probes' geometry is computed once, and since the signal is linear
+    in the moment a step outside a 1e-9 relative margin of
+    ``target / signal(1)`` is decided without evaluating the field.
     """
     if target_signal_ut <= 0.0:
         raise NoConvergence("target signal must be positive")
+    _check_model(model)
+    MagnetSpec(1e-9, height_mm, diameter_mm, magnet_id)  # refuses bad dimensions first
+    probes = np.array([(0.0, 0.0, -gap_mm), (-CALIBRATION_PROBE_MM, 0.0, -gap_mm)])
+    if model == "cylinder":
+        for probe in probes:
+            _check_cylinder_offset(probe, diameter_mm, height_mm)
+        pts = _cylinder_grid(diameter_mm, height_mm)
+    else:
+        for probe in probes:
+            _check_dipole_offset(probe)
+        pts = _ORIGIN
+    rhat, rn3 = _dipole_geometry(probes[:, None, :] - pts)
+    n_sub = len(pts)
 
     def signal(m: float) -> float:
-        spec = MagnetSpec(m, height_mm, diameter_mm, magnet_id)
-        return effective_signal(spec, gap_mm, model=model)
+        field = _dipole_sum(np.array([0.0, 0.0, m / n_sub]), rhat, rn3)
+        return float(np.linalg.norm(field[1] - field[0]))
+
+    low, high = _linear_decision_band(target_signal_ut, signal(1.0), rn3)
+
+    def below(m: float) -> bool:
+        """signal(m) < target, evaluated only near the estimate."""
+        if m < low:
+            return True
+        if m > high:
+            return False
+        return signal(m) < target_signal_ut
 
     lo, hi = 0.0, 1e-9
     iterations = 0
-    while signal(hi) < target_signal_ut:
+    while below(hi):
         hi *= 4.0
         iterations += 1
         if iterations >= CALIBRATION_MAX_ITER:
             raise NoConvergence("could not bracket the target signal")
     for _ in range(iterations, CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if signal(mid) < target_signal_ut:
+        if below(mid):
             lo = mid
         else:
             hi = mid

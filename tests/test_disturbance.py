@@ -9,7 +9,7 @@ from tacsim.disturbance import (
     snr,
 )
 from tacsim.errors import DegenerateRotation, InvalidSignal, RankDeficient
-from tacsim.magnets import MagnetSpec
+from tacsim.magnets import MagnetSpec, build_marker_set, cylinder_flux
 from tacsim.rotations import axis_angle, rot_x, rot_y
 
 
@@ -175,3 +175,13 @@ def test_sweep_accepts_custom_grid_and_magnets():
     table = report.table(9)
     assert table.shape == (2, 4)
     assert table[0, 3] < table[1, 3]
+
+
+@pytest.mark.parametrize("gap, dy", [(3.0, None), (2.5, [4.25, 7.0, 19.5, 33.0])])
+def test_sweep_disturbance_equals_the_per_offset_loop(gap, dy):
+    report = adjacent_snr_sweep(dy_mm=dy, gap_mm=gap)
+    want = np.array([
+        [np.linalg.norm(cylinder_flux(magnet, (0.0, -d, -gap))) for d in report.dy_mm]
+        for magnet in build_marker_set(gap)
+    ])
+    np.testing.assert_array_equal(report.disturbance_ut.view(np.uint64), want.view(np.uint64))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -320,19 +322,45 @@ def test_blend_grid_covers_unit_interval():
     assert len(grid) == 21 and len(rmsd) == 21
 
 
+def saved_calibration_lines(tmp_path):
+    params = fit_calibration([linear_sweep(3e-3, 1e-3, 2e-3, -1e-3, 3e-4, 0.02)], blend=0.0)
+    path = tmp_path / "cal.txt"
+    save_calibration(params, path)
+    return path, path.read_text().splitlines()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("pitch_mm", "nan"), ("pitch_mm", "inf"), ("scale_bz", "0.0"), ("scale_bz", "nan"),
      ("scale_bz", "-387.0"), ("scale_sum", "0.0"), ("scale_sum", "inf"), ("scale_sum", "nan")],
 )
 def test_corrupt_calibration_file_is_refused(key, value, tmp_path):
-    params = fit_calibration([linear_sweep(3e-3, 1e-3, 2e-3, -1e-3, 3e-4, 0.02)], blend=0.0)
-    path = tmp_path / "cal.txt"
-    save_calibration(params, path)
-    lines = path.read_text().splitlines()
+    path, lines = saved_calibration_lines(tmp_path)
     lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="positive and finite"):
+        load_calibration(path)
+
+
+@pytest.mark.parametrize("key", ["scale_bz", "k_y", "blend"])
+def test_calibration_file_missing_a_key_names_file_and_key(key, tmp_path):
+    path, lines = saved_calibration_lines(tmp_path)
+    path.write_text("\n".join(line for line in lines if not line.startswith(f"{key} = ")) + "\n")
+    message = f"{path}: calibration key calibration.{key} is missing"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_calibration(path)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("scale_sum", "abc"), ("b_x", ""), ("r2", "0.99,oops,0.98")]
+)
+def test_calibration_file_non_numeric_value_names_file_and_key(key, value, tmp_path):
+    path, lines = saved_calibration_lines(tmp_path)
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    section = "diagnostics" if key == "r2" else "calibration"
+    message = f"{path}: calibration key {section}.{key} = {value!r} is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_calibration(path)
 
 

@@ -18,6 +18,79 @@ from tacsim.magnets import (
 EFFECTIVE_TARGETS_UT = (211.0, 580.0, 853.0, 1816.0)
 
 
+def bisection_oracle(
+    target_signal_ut, gap_mm, *, height_mm=1.0, diameter_mm=3.0, magnet_id=2, model="dipole"
+):
+    """calibrate_moment as a plain bisection over effective_signal, every step evaluated."""
+    if target_signal_ut <= 0.0:
+        raise NoConvergence("target signal must be positive")
+
+    def signal(m):
+        spec = MagnetSpec(m, height_mm, diameter_mm, magnet_id)
+        return effective_signal(spec, gap_mm, model=model)
+
+    lo, hi = 0.0, 1e-9
+    iterations = 0
+    while signal(hi) < target_signal_ut:
+        hi *= 4.0
+        iterations += 1
+        if iterations >= magnets.CALIBRATION_MAX_ITER:
+            raise NoConvergence("could not bracket the target signal")
+    for _ in range(iterations, magnets.CALIBRATION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if signal(mid) < target_signal_ut:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= magnets.CALIBRATION_REL_TOL * hi:
+            achieved = signal(hi)
+            if abs(achieved - target_signal_ut) > 1e-3 * target_signal_ut:
+                raise NoConvergence("bisection stalled away from the target")
+            return MagnetSpec(hi, height_mm, diameter_mm, magnet_id)
+    raise NoConvergence("bisection did not converge in 200 iterations")
+
+
+def outcome(calibrate, target, gap, **kwargs):
+    """The moment's bit pattern, or the exception's type and message."""
+    try:
+        spec = calibrate(target, gap, **kwargs)
+    except (NoConvergence, OffsetTooSmall, ValueError) as exc:
+        return type(exc), str(exc)
+    return spec.moment_a_m2.hex(), spec
+
+
+def calibration_cases():
+    for magnet_id, diameter, height, target in MARKER_CANDIDATES:
+        shape = dict(height_mm=height, diameter_mm=diameter, magnet_id=magnet_id, model="cylinder")
+        for gap in np.linspace(1.6, 8.0, 17):
+            yield target, float(gap), shape
+    for target in (1e300, 1e6, 580.0, 1.0, 1e-3, 1e-300, np.inf, np.nan):
+        for gap in (0.4, 0.6, 3.0, 25.0):
+            yield target, gap, dict(model="dipole")
+    # the exact signal of a moment the bracket visits: the estimate is off
+    # it by rounding, so only the exact step sees the tie
+    for k in range(0, 12, 2):
+        for model, shape in (("dipole", (1.0, 3.0)), ("cylinder", (2.0, 4.0))):
+            spec = MagnetSpec(1e-9 * 4.0**k, *shape)
+            kwargs = dict(height_mm=shape[0], diameter_mm=shape[1], model=model)
+            yield effective_signal(spec, 3.0, model=model), 3.0, kwargs
+    # dimensions are refused before any other failure
+    yield 580.0, 0.4, dict(height_mm=-1.0, model="dipole")
+    yield 1e300, 3.0, dict(diameter_mm=0.0, model="dipole")
+    # fields so weak that the signal's square underflows near the target:
+    # only an exact evaluation of each step reproduces the bisection
+    for target in (1e-220, 1e-250):
+        for model in ("dipole", "cylinder"):
+            yield target, 1e38, dict(model=model)
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        diameter, height = rng.uniform(0.2, 8.0, size=2)
+        gap = rng.uniform(-12.0, 12.0) if rng.random() < 0.8 else 10.0 ** rng.uniform(1.0, 7.0)
+        model = "cylinder" if rng.random() < 0.5 else "dipole"
+        shape = dict(height_mm=float(height), diameter_mm=float(diameter), model=model)
+        yield float(10.0 ** rng.uniform(-3.0, 5.0)), float(gap), shape
+
+
 def closed_form_unit_dipole(offset):
     """1e8 * [3(mh.rh)rh - mh] / r^3 for a unit +z moment, written out."""
     r = np.asarray(offset, dtype=float)
@@ -103,6 +176,25 @@ def test_cylinder_flux_memo_is_exact_read_only_and_bounded(rng):
     assert magnets._cylinder_flux.cache_info().currsize <= FLUX_CACHE_SIZE
 
 
+def test_cylinder_flux_takes_stacked_offsets_in_one_unmemoised_pass(rng):
+    offsets = np.column_stack([rng.uniform(-6.0, 6.0, size=(40, 2)), rng.uniform(-10.0, -1.0, 40)])
+    offsets = np.vstack([offsets, [(0.0, 0.0, -3.0), (-0.0, 0.0, -3.0), (-0.0, -0.0, -3.5)]])
+    markers = [MagnetSpec(moment_a_m2=4.4e-4)] + build_marker_set(3.0)
+    for magnet in markers:
+        before = magnets._cylinder_flux.cache_info()
+        got = cylinder_flux(magnet, offsets)
+        assert magnets._cylinder_flux.cache_info() == before
+        want = np.array([cylinder_flux(magnet, offset) for offset in offsets])
+        assert got.shape == (len(offsets), 3)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    inside = offsets.copy()
+    inside[17] = (0.0, 0.0, 0.3)
+    before = magnets._cylinder_flux.cache_info()
+    with pytest.raises(OffsetTooSmall):
+        cylinder_flux(markers[0], inside)
+    assert magnets._cylinder_flux.cache_info() == before
+
+
 def test_magnet_spec_rejects_nonpositive_dimensions():
     with pytest.raises(ValueError):
         MagnetSpec(moment_a_m2=0.0)
@@ -148,6 +240,25 @@ def test_calibration_memo_returns_the_bisection_spec():
     assert calibrate_moment(580.0, 3.0, **kwargs) is spec
     assert calibrate_moment.__wrapped__(580.0, 3.0, **kwargs) == spec
     assert default_magnet(3.0) is spec
+
+
+def test_calibration_is_the_bisection_bit_for_bit():
+    kinds = set()
+    for target, gap, kwargs in calibration_cases():
+        want = outcome(bisection_oracle, target, gap, **kwargs)
+        got = outcome(calibrate_moment.__wrapped__, target, gap, **kwargs)
+        assert got == want, (target, gap, kwargs)
+        kinds.add(want[0] if isinstance(want[0], type) else float)
+    assert kinds == {float, NoConvergence, OffsetTooSmall, ValueError}
+
+
+@pytest.mark.parametrize("calibrate", [calibrate_moment, calibrate_moment.__wrapped__])
+def test_unknown_field_model_is_refused(calibrate):
+    with pytest.raises(ValueError, match="unknown field model 'cylnder'"):
+        effective_signal(default_magnet(3.0), 3.0, model="cylnder")
+    for _ in range(2):  # and not memoised
+        with pytest.raises(ValueError, match="unknown field model 'cylnder'"):
+            calibrate(580.0, 3.0, model="cylnder")
 
 
 @pytest.mark.parametrize("target", [0.0, 1e300], ids=["non-positive", "cannot-bracket"])
