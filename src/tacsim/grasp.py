@@ -228,7 +228,7 @@ def controller_step(
                     events.append(f"mechanical_limit_finger{f}")
                 else:
                     inc[f] = 1
-            if state.halted.all() and state.phase is Phase.CLOSING:
+            if state.halted[0] and state.halted[1] and state.phase is Phase.CLOSING:
                 state.phase = Phase.HOLDING
                 state.hold_elapsed_s = 0.0
                 events.append("hold_start")
@@ -244,14 +244,14 @@ def controller_step(
             for f in range(2):
                 if signal[f] >= policy.release_below and state.motor_deg[f] > 0.0:
                     inc[f] = -1
-            if (signal < policy.release_below).all():
+            if signal[0] < policy.release_below and signal[1] < policy.release_below:
                 state.phase = Phase.DONE
                 events.append("done")
 
-    if inc.any():
-        state.motor_deg = np.clip(
-            state.motor_deg + inc * geometry.increment_deg, 0.0, geometry.max_travel_deg
-        )
+    if inc[0] or inc[1]:
+        # np.clip's values through two ufuncs, without its Python-level dispatch
+        motor = np.maximum(state.motor_deg + inc * geometry.increment_deg, 0.0)
+        state.motor_deg = np.minimum(motor, geometry.max_travel_deg)
     return inc, events
 
 
@@ -300,13 +300,14 @@ class GraspSimulation:
       start's force; holding, to the single-threshold cut-off or the first
       gate after the hysteresis release; releasing, to the next gate.  It
       is one ``FrontEnd.hold``, an ``(n, 2, 19)`` block for its ``n`` ticks
-      (each finger has its own RNG, so these are the per-tick draws), and
-      one ``grip_signal`` call.
+      (each finger has its own RNG, so these are the per-tick draws; fingers
+      of equal physics share the noise-free response), and one
+      ``grip_signal`` call.
     * In a segment ``controller_step`` runs only where it can act: on the
       gates while closing or releasing, and on the hysteresis release tick.
-      Phase and motors hold in between, so those ticks go into the trace's
-      columns in bulk; the record array of rows is filled from the columns
-      once, at the end.
+      Phase and motors hold in between, so those ticks are one run of the
+      trace's columns; the record array of rows is filled once, at the end,
+      from the runs, the segments' signal arrays and the event labels.
     * No segment passes ``max_ticks``, nor, while closing, the first tick
       the loop could stop or release at if a hold started at the next gate,
       so no frame past the last tick is drawn.
@@ -340,9 +341,11 @@ class GraspSimulation:
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
         stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
-        # the trace's columns, two entries per tick: finger 0, then finger 1
-        phases, motors, values, forces, labels = (
-            [v] * 2 * idle for v in (Phase.IDLE.value, 0.0, 0.0, force, ""))
+        # the trace's columns, each tick finger 0 then finger 1: runs of ticks that
+        # hold phase and motors, the grip signal per segment, the force per
+        # segment, and the labels of the ticks that have events
+        runs = [(Phase.IDLE.value, 0.0, 0.0, idle)]
+        signal_parts, force_runs, labels = [np.zeros(2 * idle)], [(force, idle)], []
         state.tick = idle - 1
         if idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
             for sensor in self.sensors:
@@ -366,6 +369,8 @@ class GraspSimulation:
             end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
+            signal_parts.append(signals.ravel())
+            force_runs.append((force, end - start + 1))
 
             tick = start
             while True:
@@ -374,9 +379,7 @@ class GraspSimulation:
                 else:
                     act = -(-tick // gate) * gate
                 n = min(act, end + 1) - tick  # ticks that leave phase and motors as they are
-                phases += [state.phase.value] * 2 * n
-                motors += state.motor_deg.tolist() * n
-                labels += [""] * 2 * n
+                runs.append((state.phase.value, *state.motor_deg.tolist(), n))
                 if state.phase is Phase.HOLDING and not single:
                     state.hold_elapsed_s = elapsed[tick + n - 1 - hold_tick]
                 if act > end:
@@ -384,28 +387,23 @@ class GraspSimulation:
                 state.tick = act
                 _, tick_events = controller_step(state, self.policy, signals[act - start], self.geometry,
                                                  self.dt_s, step_gate=(act % gate == 0))
-                events += [(act, name) for name in tick_events]
-                phases += [state.phase.value] * 2
-                motors += state.motor_deg.tolist()
-                labels += [";".join(e for e in tick_events if e.endswith(f) or not e[-1].isdigit())
-                           for f in "01"]
-                if "hold_start" in tick_events:
-                    hold_tick = act
+                runs.append((state.phase.value, *state.motor_deg.tolist(), 1))
+                if tick_events:
+                    events += [(act, name) for name in tick_events]
+                    labels.append((act, [
+                        ";".join(e for e in tick_events if e.endswith(f) or not e[-1].isdigit())
+                        for f in "01"]))
+                    if "hold_start" in tick_events:
+                        hold_tick = act
                 tick = act + 1
 
-            values += signals.ravel().tolist()
-            forces += [force] * signals.size
             state.tick, state.signal = end, signals[-1]
             # done comes at a releasing gate, which ends its segment; a single-threshold hold
             # never ends, but a settled window (no segment passes its cut-off) is evidence enough
             if state.phase is Phase.DONE or (single and hold_tick is not None and end - hold_tick >= rate):
                 break
             start = end + 1
-        rows = np.zeros(len(phases), TRACE_DTYPE).view(np.recarray)  # np.empty: 10x slower with objects
-        rows.tick, rows.finger = np.divmod(np.arange(len(rows)), 2)
-        rows.phase, rows.motor_deg, rows.signal, rows.contact_force_n, rows.event = (
-            phases, motors, values, forces, labels)
-        return GraspTrace(rows, events, state)
+        return GraspTrace(_trace_rows(runs, signal_parts, force_runs, labels), events, state)
 
     def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
         """Last tick of the segment from ``start``: the force holds through it
@@ -421,27 +419,47 @@ class GraspSimulation:
             last = min(last, end + hold_ticks)  # in case a hold starts at that gate
             # the farthest pair: each unhalted finger one increment per gate; the
             # force is monotone in each motor, so equal there means equal on the way
-            inc, motor = (~state.halted).astype(int), state.motor_deg
+            motor = state.motor_deg.tolist()
+            moving = [f for f in range(2) if not state.halted[f]]
             while end < last:
-                motor = np.clip(motor + inc * geo.increment_deg, 0.0, geo.max_travel_deg)
-                if self._object_force(motor) != force:
+                for f in moving:  # controller_step's clip of motor + increment, on floats
+                    motor[f] = min(max(motor[f] + geo.increment_deg, 0.0), geo.max_travel_deg)
+                if self._object_force(*motor) != force:
                     break
                 end += gate
         return min(end, last)
 
-    def _object_force(self, motor_deg) -> float:
-        separation = self.geometry.opening_mm - (motor_deg * self.geometry.mm_per_deg).sum()
+    def _object_force(self, motor0_deg: float, motor1_deg: float) -> float:
+        mm_per_deg = self.geometry.mm_per_deg
+        # (motor_deg * mm_per_deg).sum() on floats: numpy adds a pair in order
+        separation = self.geometry.opening_mm - (motor0_deg * mm_per_deg + motor1_deg * mm_per_deg)
         return self.object_model.contact_force(separation)
 
     def _contact_force(self, state: GripperState) -> float:
         """Object force at the current finger separation; CrushDetected past its limit."""
-        force = self._object_force(state.motor_deg)
+        force = self._object_force(*state.motor_deg.tolist())
         crush = self.object_model.crush_force_n
         if crush is not None and force > crush:
             raise CrushDetected(
                 f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N"
             )
         return force
+
+
+def _trace_rows(runs, signal_parts, force_runs, labels) -> np.recarray:
+    """``GraspSimulation.run``'s columns as one record array of ``TRACE_DTYPE``, two rows a tick."""
+    phase, motor0, motor1, ticks = zip(*runs)
+    forces, force_ticks = zip(*force_runs)
+    rows = np.zeros(2 * sum(ticks), TRACE_DTYPE).view(np.recarray)  # np.empty: 10x slower with objects
+    rows.tick, rows.finger = np.divmod(np.arange(len(rows)), 2)
+    rows.phase = np.repeat(np.array(phase, dtype=object), 2 * np.array(ticks))
+    rows.motor_deg = np.repeat(np.column_stack([motor0, motor1]), ticks, axis=0).ravel()
+    rows.signal = np.concatenate(signal_parts)
+    rows.contact_force_n = np.repeat(forces, 2 * np.array(force_ticks))
+    rows.event = ""
+    for tick, pair in labels:
+        rows.event[2 * tick : 2 * tick + 2] = pair
+    return rows
 
 
 @dataclass

@@ -160,23 +160,26 @@ class MovingAverage:
         return np.mean(np.stack(list(self._buf)), axis=0)
 
 
-def moving_average(values, window: int) -> np.ndarray:
+def moving_average(values, window: int, start: int = 0) -> np.ndarray:
     """Filter a whole sequence (samples along axis 0) as ``MovingAverage`` does.
 
-    Each output sums its window oldest sample first.  For samples of two or
-    more channels, such as frames, that is the order in which
-    ``MovingAverage.update``'s mean adds them, so the two agree bit for bit;
-    numpy sums a single channel's window of 8 or more pairwise, so there
-    they may differ in the last bit.
+    Returns the outputs from index ``start`` on.  Each output sums its
+    window oldest sample first.  For samples of two or more channels, such
+    as frames, that is the order in which ``MovingAverage.update``'s mean
+    adds them, so the two agree bit for bit; numpy sums a single channel's
+    window of 8 or more pairwise, so there they may differ in the last bit.
     """
     x = np.asarray(values, dtype=float)
     full = max(len(x) - window + 1, 0)  # outputs with a whole window behind them
     total = x[:full].copy()
     for k in range(1, window):
         total += x[k : k + full]
-    total = np.concatenate([np.cumsum(x[: len(x) - full], axis=0), total])
+    warm = len(x) - full  # the outputs before them, each over all the samples so far
+    if start >= warm:
+        return total[start - warm :] / window
+    total = np.concatenate([np.cumsum(x[:warm], axis=0), total])
     count = np.minimum(np.arange(1, len(x) + 1), window)
-    return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
+    return (total / count.reshape((-1,) + (1,) * (x.ndim - 1)))[start:]
 
 
 class FrontEnd:
@@ -184,21 +187,41 @@ class FrontEnd:
 
     The constructor samples the initialization window on the ``idle``
     stimulus as one block per sensor, in list order, and keeps a ``(k, 19)``
-    baseline from their tails.  Each ``hold`` stacks one block per sensor
-    into ``(N, k, 19)``, subtracts the baseline and runs the moving average
-    along axis 0, on over the last ``ma_window - 1`` frames of the previous
-    hold, so sensor *j*'s rows equal, bit for bit, what a ``StreamProcessor``
-    gives frame by frame, however the frames are split into holds.  A sensor
-    is anything with a ``sample_block``.
+    baseline from their tails.  Each ``hold`` writes one block per sensor
+    into an ``(N, k, 19)`` array, subtracts the baseline and runs the moving
+    average along axis 0, on over the last ``ma_window - 1`` frames of the
+    previous hold, so sensor *j*'s rows equal, bit for bit, what a
+    ``StreamProcessor`` gives frame by frame, however the frames are split
+    into holds.
+
+    The sensors are ``TactileSensor``s.  Those of equal ``physics`` (magnet,
+    elastomer and earth field, read at construction) share one noise-free
+    ``response`` per schedule; each then ``digitize``s it with its own
+    noise, in list order.  ValueError for an empty list of sensors.
     """
 
     def __init__(self, sensors, config: StreamConfig, idle, orientation=None):
+        if not sensors:
+            raise ValueError("a front end needs at least one sensor")
         self.sensors = sensors
         self.config = config
-        blocks = [sensor.sample_block([(idle, config.init_samples, orientation)]) for sensor in sensors]
+        groups = {}
+        for j, sensor in enumerate(sensors):
+            groups.setdefault(sensor.physics, []).append(j)
+        self._groups = list(groups.values())
+        blocks = self._sample([(idle, config.init_samples, orientation)])
         baselines = [baseline_from_arrays(counts, flux, config) for counts, flux in blocks]
         self.baseline = np.array([np.concatenate([b.fa1_mean.ravel(), b.sa2_mean]) for b in baselines])
         self._history = np.empty((0,) + self.baseline.shape)
+
+    def _sample(self, schedule) -> list:
+        """Each sensor's ``(counts, flux)`` block of ``schedule``, one response per group."""
+        responses = [None] * len(self.sensors)
+        for group in self._groups:  # every response before any noise is drawn
+            response = self.sensors[group[0]].response(schedule)
+            for j in group:
+                responses[j] = response
+        return [sensor.digitize(response) for sensor, response in zip(self.sensors, responses)]
 
     def hold(self, schedule) -> np.ndarray:
         """Hold each ``(stimulus, n, orientation)`` entry in turn; their ``(N, k, 19)`` filtered rows.
@@ -206,12 +229,16 @@ class FrontEnd:
         Each row is 16 taxels (row-major) then 3 flux axes, baseline-subtracted
         and smoothed.
         """
-        parts = [part for sensor in self.sensors for part in sensor.sample_block(schedule)]
-        frames = len(parts[0])
-        block = np.concatenate(parts, axis=1).reshape((frames,) + self.baseline.shape)
-        rows = np.concatenate([self._history, block - self.baseline])
+        blocks = self._sample(schedule)
+        past, frames = len(self._history), len(blocks[0][0])
+        rows = np.empty((past + frames,) + self.baseline.shape)
+        rows[:past] = self._history
+        for j, (counts, flux) in enumerate(blocks):
+            rows[past:, j, :16] = counts
+            rows[past:, j, 16:] = flux
+        rows[past:] -= self.baseline
         self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):]
-        return moving_average(rows, self.config.ma_window)[len(rows) - frames:]
+        return moving_average(rows, self.config.ma_window, start=past)
 
 
 class StreamProcessor:

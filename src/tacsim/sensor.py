@@ -15,6 +15,7 @@ it in the same direction as the force.  The taxel at row r, column c
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,10 @@ MAX_TRAVEL_FRACTION = 0.8
 BONE_BEARING_FRACTION = 0.6
 
 DEFAULT_PROBE_RADIUS_MM = 5.3
+
+# distinct (location, probe radius) footprints kept by the footprint_weights
+# memo; a study meets at most ~10
+FOOTPRINT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,10 @@ class Environment:
     """External conditions plus the explicitly carried RNG state.
 
     The earth field is given in the world frame; each sampling call poses
-    the sensor with its own sensor-to-world ``orientation``.
+    the sensor with its own sensor-to-world ``orientation``.  ValueError
+    for an earth field that is not finite, and for a noise scale or
+    quantisation step that is NaN, negative or infinite (0 turns either
+    off).
     """
 
     earth_field_ut: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -109,6 +117,11 @@ class Environment:
 
     def __post_init__(self):
         self.earth_field_ut = np.asarray(self.earth_field_ut, dtype=float).reshape(3)
+        if not np.isfinite(self.earth_field_ut).all():
+            raise ValueError("earth field must be finite")
+        for name in ("fa1_noise_counts", "sa2_noise_ut", "quantization_ut"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and not negative, got {getattr(self, name)!r}")
         self.rng = np.random.default_rng(self.seed)
 
 
@@ -117,16 +130,24 @@ def footprint_weights(location_mm, probe_radius_mm: float = DEFAULT_PROBE_RADIUS
 
     Isotropic Gaussian with sigma = probe_radius/2 sampled at the taxel
     centres; whatever falls outside the face is folded back in by
-    renormalising, so the weights always sum to exactly 1.
+    renormalising, so the weights always sum to exactly 1.  Memoised per
+    location and radius (as floats); the result is a read-only array.
     """
     x0, y0 = location_mm
+    return _footprint_weights(float(x0), float(y0), float(probe_radius_mm))
+
+
+@lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
+def _footprint_weights(x0: float, y0: float, probe_radius_mm: float) -> np.ndarray:
     sigma = probe_radius_mm / 2.0
     d2 = (TAXEL_X_MM - x0) ** 2 + (TAXEL_Y_MM - y0) ** 2
     w = np.exp(-d2 / (2.0 * sigma**2))
     total = w.sum()
     if total <= 0.0:
         raise ValueError("contact footprint does not overlap the face")
-    return w / total
+    w /= total
+    w.flags.writeable = False
+    return w
 
 
 def pressure_centroid(location_mm, probe_radius_mm: float = DEFAULT_PROBE_RADIUS_MM) -> np.ndarray:
@@ -292,40 +313,70 @@ class TactileSensor:
         self.env = env if env is not None else Environment()
         self.finger_id = finger_id
 
-    def sample_block(self, schedule):
-        """Consecutive frames of a schedule of held stimuli.
+    @property
+    def physics(self) -> tuple:
+        """What ``response`` reads of the sensor: sensors with equal keys
+        give equal responses to every schedule (the earth field by its bits)."""
+        return self.magnet, self.elastomer, self.env.earth_field_ut.tobytes()
+
+    def response(self, schedule) -> np.ndarray:
+        """Noise-free ``(N, 19)`` rows of a schedule of held stimuli.
 
         A schedule is a sequence of ``(stimulus, n, orientation)`` entries,
-        held in turn.  Returns ``(N, 16)`` integer counts and ``(N, 3)``
-        float32 flux (uT) for the schedule's ``N`` frames.  The noise-free
-        response is computed once per entry, before any noise is drawn.  The
-        noise of all frames is one draw whose row *i* holds frame *i*'s draws
-        in the per-frame order (16 taxels, then 3 flux axes; a source that is
-        off draws nothing).  So the block equals chained one-entry blocks, and
-        ``N`` calls of ``sample``, bit for bit, and leaves the RNG in the same
-        state.
+        held in turn for ``n`` frames each.  A row is the 16 taxel readings
+        (counts, unrounded, row-major) then the 3 flux axes (uT); each
+        entry's row is computed once.  ValueError, before anything is
+        computed, for an ``n`` that is not an integer of 0 or more.
         """
-        env = self.env
-        frames = sum(n for _, n, _ in schedule)
-        reading, b = np.empty((frames, 16)), np.empty((frames, 3))
+        frames = 0
+        for _, n, _ in schedule:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+                raise ValueError(f"a schedule entry's frame count must be an integer >= 0, got {n!r}")
+            frames += n
+        rows = np.empty((frames, 19))
         end = 0
         for stimulus, n, R in schedule:
             start, end = end, end + n
-            reading[start:end] = _fa1_reading(stimulus, self.elastomer).reshape(16)
-            b[start:end] = _sa2_field(stimulus, self.magnet, self.elastomer, env, R)
-        fa1_on, sa2_on = env.fa1_noise_counts > 0.0, env.sa2_noise_ut > 0.0
-        scale = [env.fa1_noise_counts] * (16 if fa1_on else 0)
-        scale += [env.sa2_noise_ut] * (3 if sa2_on else 0)
-        if scale:
-            # rng.normal(0.0, scale, size=(N, k)) element by element: numpy
-            # computes loc + scale * z.  Its broadcasting path for an array
-            # scale is ~3x slower on short blocks.
-            noise = 0.0 + np.array(scale) * env.rng.standard_normal((frames, len(scale)))
-            if fa1_on:
-                reading += noise[:, :16]
-            if sa2_on:
-                b += noise[:, -3:]
-        return _fa1_counts(reading), _quantize_flux(b, env.quantization_ut).astype(np.float32)
+            rows[start:end, :16] = _fa1_reading(stimulus, self.elastomer).reshape(16)
+            rows[start:end, 16:] = _sa2_field(stimulus, self.magnet, self.elastomer, self.env, R)
+        return rows
+
+    def digitize(self, response: np.ndarray):
+        """``(N, 16)`` integer counts and ``(N, 3)`` float32 flux (uT) of noise-free rows.
+
+        The noise of all rows is one draw from the sensor's RNG whose row *i*
+        holds frame *i*'s draws in the per-frame order (16 taxels, then 3
+        flux axes; a source that is off draws nothing); then the counts are
+        rounded and clipped, and the flux quantised.  ``response`` is not
+        changed, so sensors of equal ``physics`` can share it.
+        """
+        env = self.env
+        lo, hi = (0 if env.fa1_noise_counts > 0.0 else 16), (19 if env.sa2_noise_ut > 0.0 else 16)
+        if lo < hi:
+            # rng.normal(0.0, scale, size=(N, k)) element by element, in place:
+            # numpy computes loc + scale * z (so -0.0 becomes 0.0).  Its
+            # broadcasting path for an array scale is ~3x slower on short blocks.
+            noise = env.rng.standard_normal((len(response), hi - lo))
+            noise *= np.array([env.fa1_noise_counts] * 16 + [env.sa2_noise_ut] * 3)[lo:hi]
+            noise += 0.0
+            if hi - lo == 19:  # the noisy rows go into the noise's buffer
+                response = np.add(noise, response, out=noise)
+            else:  # a source is off, and its columns stay as they are
+                response = response.copy()
+                response[:, lo:hi] += noise
+        flux = _quantize_flux(response[:, 16:], env.quantization_ut)
+        return _fa1_counts(response[:, :16]), flux.astype(np.float32)
+
+    def sample_block(self, schedule):
+        """Consecutive frames of a schedule of held stimuli: ``digitize(response(schedule))``.
+
+        Returns ``(N, 16)`` integer counts and ``(N, 3)`` float32 flux (uT)
+        for the schedule's ``N`` frames.  Since every entry's response is
+        computed before the one noise draw, the block equals chained
+        one-entry blocks, and ``N`` calls of ``sample``, bit for bit, and
+        leaves the RNG in the same state.
+        """
+        return self.digitize(self.response(schedule))
 
     def sample(self, stimulus: ContactStimulus, timestamp_us: int, orientation=None) -> TactileFrame:
         counts, flux = self.sample_block([(stimulus, 1, orientation)])

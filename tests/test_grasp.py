@@ -482,49 +482,47 @@ MERGED = {
 }
 
 
-def kernel_case(obj, policy, stream, noise):
-    # the fingers see different earth fields, so their flux differs
-    sensors = [
-        TactileSensor(env=Environment(seed=(4, f), earth_field_ut=earth, **noise), finger_id=f)
-        for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
-    ]
-    return GraspSimulation(obj, policy, sensors, stream=stream)
+KERNEL_CASES = {
+    "egg-ma1": (EGG, SINGLE, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
+    "egg-default": (EGG, SINGLE, StreamConfig(), {}, 3000),
+    "egg-ma8": (EGG, SINGLE, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
+    "egg-ma50": (EGG, SINGLE, StreamConfig(ma_window=50, **SHORT_INIT), {}, 3000),
+    "fa1-noise-off": (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"fa1_noise_counts": 0.0}, 3000),
+    "sa2-noise-off": (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"sa2_noise_ut": 0.0}, 3000),
+    "quantization-off": (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"quantization_ut": 0.0}, 3000),
+    "all-noise-off": (EGG, SINGLE, StreamConfig(**SHORT_INIT), QUIET, 3000),
+    "tweezers-hysteresis": (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 3000),
+    "tweezers-hysteresis-ma8": (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
+    "max-ticks-0": (EGG, SINGLE, StreamConfig(), {}, 0),
+    "max-ticks-below-init": (EGG, SINGLE, StreamConfig(), {}, 120),
+    "max-ticks-equal-init": (EGG, SINGLE, StreamConfig(), {}, 300),
+    "max-ticks-one-past-init": (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
+    "max-ticks-mid-segment": (EGG, SINGLE, StreamConfig(), {}, 400),
+    "tweezers-hysteresis-ma1": (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
+    "hysteresis-hold-0": (EGG, HysteresisPolicy(hold_s=0.0), StreamConfig(**SHORT_INIT), {}, 3000),
+    "none-hysteresis-ma50": (NoObject(), QUICK_HOLD, StreamConfig(ma_window=50, **SHORT_INIT), {}, 1000),
+    # releases at 596, done at 624
+    "max-ticks-mid-release": (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 610),
+    **{case: (obj, policy, StreamConfig(**SHORT_INIT), {}, max_ticks)
+       for case, (obj, policy, max_ticks) in MERGED.items()},
+}
+# the fingers differ in their earth field, but for these cases (see FINGER_0_DIFFERS)
+FINGERS = {
+    "egg-default-fingers-same": ("egg-default", "same"),
+    "egg-ma8-fingers-same": ("egg-ma8", "same"),
+    "tweezers-hysteresis-fingers-same": ("tweezers-hysteresis", "same"),
+    "egg-ma8-fingers-differ-in-magnet": ("egg-ma8", "magnet"),
+    "egg-ma8-fingers-differ-in-elastomer": ("egg-ma8", "elastomer"),
+    "tweezers-hysteresis-fingers-differ-in-magnet": ("tweezers-hysteresis", "magnet"),
+}
+WITH_FINGERS = {**{case: (*args, "earth") for case, args in KERNEL_CASES.items()},
+                **{case: (*KERNEL_CASES[base], fingers) for case, (base, fingers) in FINGERS.items()}}
 
 
-@pytest.mark.parametrize(
-    "obj, policy, stream, noise, max_ticks",
-    [
-        (EGG, SINGLE, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
-        (EGG, SINGLE, StreamConfig(), {}, 3000),
-        (EGG, SINGLE, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
-        (EGG, SINGLE, StreamConfig(ma_window=50, **SHORT_INIT), {}, 3000),
-        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"fa1_noise_counts": 0.0}, 3000),
-        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"sa2_noise_ut": 0.0}, 3000),
-        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {"quantization_ut": 0.0}, 3000),
-        (EGG, SINGLE, StreamConfig(**SHORT_INIT), QUIET, 3000),
-        (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 3000),
-        (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=8, **SHORT_INIT), {}, 3000),
-        (EGG, SINGLE, StreamConfig(), {}, 0),
-        (EGG, SINGLE, StreamConfig(), {}, 120),
-        (EGG, SINGLE, StreamConfig(), {}, 300),
-        (EGG, SINGLE, StreamConfig(**SHORT_INIT), {}, 21),
-        (EGG, SINGLE, StreamConfig(), {}, 400),
-        (TWEEZERS, QUICK_HOLD, StreamConfig(ma_window=1, **SHORT_INIT), {}, 3000),
-        (EGG, HysteresisPolicy(hold_s=0.0), StreamConfig(**SHORT_INIT), {}, 3000),
-        (NoObject(), QUICK_HOLD, StreamConfig(ma_window=50, **SHORT_INIT), {}, 1000),
-        (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT), {}, 610),  # releases at 596, done at 624
-    ] + [(obj, policy, StreamConfig(**SHORT_INIT), {}, max_ticks) for obj, policy, max_ticks in MERGED.values()],
-    ids=[
-        "egg-ma1", "egg-default", "egg-ma8", "egg-ma50",
-        "fa1-noise-off", "sa2-noise-off", "quantization-off", "all-noise-off",
-        "tweezers-hysteresis", "tweezers-hysteresis-ma8",
-        "max-ticks-0", "max-ticks-below-init", "max-ticks-equal-init", "max-ticks-one-past-init",
-        "max-ticks-mid-segment", "tweezers-hysteresis-ma1", "hysteresis-hold-0",
-        "none-hysteresis-ma50", "max-ticks-mid-release", *MERGED,
-    ],
-)
-def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks):
-    kernel_sim, frame_sim = kernel_case(obj, policy, stream, noise), kernel_case(obj, policy, stream, noise)
+@pytest.mark.parametrize("obj, policy, stream, noise, max_ticks, fingers", WITH_FINGERS.values(), ids=WITH_FINGERS)
+def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks, fingers, two_fingers):
+    kernel_sim, frame_sim = (GraspSimulation(obj, policy, two_fingers(fingers, 4, **noise), stream=stream)
+                             for _ in range(2))
     kernel, frames = kernel_sim.run(max_ticks), per_frame_run(frame_sim, max_ticks)
     assert_same_rows(kernel.rows, frames.rows)
     assert kernel.events == frames.events
@@ -549,10 +547,10 @@ def recorded_holds(monkeypatch):
 
 
 @pytest.mark.parametrize("case", list(MERGED))
-def test_the_last_block_is_merged_past_a_gate(case, monkeypatch):
+def test_the_last_block_is_merged_past_a_gate(case, monkeypatch, two_fingers):
     obj, policy, max_ticks = MERGED[case]
     sizes = recorded_holds(monkeypatch)
-    trace = kernel_case(obj, policy, StreamConfig(**SHORT_INIT), {}).run(max_ticks)
+    trace = GraspSimulation(obj, policy, two_fingers("earth", 4), stream=StreamConfig(**SHORT_INIT)).run(max_ticks)
     assert sum(sizes) == len(trace.rows) // 2 - SHORT_INIT["init_samples"]
     assert sizes[-1] > 2 * StreamConfig().ma_window
 
@@ -580,7 +578,7 @@ def test_kernel_raises_crush_as_the_frame_by_frame_loop_does(egg, survives_ticks
     [(EGG, SINGLE, StreamConfig()), (TWEEZERS, QUICK_HOLD, StreamConfig(**SHORT_INIT))],
     ids=["egg-default", "tweezers-hysteresis"],
 )
-def test_the_controller_runs_only_where_it_can_act(obj, policy, stream, monkeypatch):
+def test_the_controller_runs_only_where_it_can_act(obj, policy, stream, monkeypatch, two_fingers):
     # off the gates the controller can only start the hold timer's release
     calls, step = [], grasp.controller_step
 
@@ -589,7 +587,7 @@ def test_the_controller_runs_only_where_it_can_act(obj, policy, stream, monkeypa
         return step(state, *args, step_gate=step_gate)
 
     monkeypatch.setattr(grasp, "controller_step", recording)
-    trace = kernel_case(obj, policy, stream, {}).run(3000)
+    trace = GraspSimulation(obj, policy, two_fingers("earth", 4), stream=stream).run(3000)
     allowed = {trace.event_tick("release_start"), stream.init_samples}
     assert calls and all(gated or tick in allowed for tick, gated in calls)
     assert len(calls) <= (len(trace.rows) // 2 - stream.init_samples) // stream.ma_window + 2

@@ -207,7 +207,7 @@ def test_rig_dwell_means_match_the_frame_by_frame_stream(window, tail):
 
 @pytest.mark.parametrize("hold", [1, 10])
 @pytest.mark.parametrize("window", [1, 6, 8, 50])
-def test_front_end_of_two_sensors_matches_one_front_end_each(window, hold):
+def test_front_end_of_two_sensors_matches_one_front_end_each(window, hold, two_fingers):
     config = StreamConfig(init_samples=20, baseline_tail=5, ma_window=window)
     idle = ContactStimulus(location_mm=(4.5, 8.0))
     schedule = [
@@ -216,26 +216,21 @@ def test_front_end_of_two_sensors_matches_one_front_end_each(window, hold):
             (0.0, 0.5, None), (0.2, 1.0, rot_x(0.8)), (-0.3, 2.0, None), (0.0, 0.0, rot_y(-0.6)),
         ] * 4
     ]
-
-    def sensors():
-        # the sensors see different earth fields, so their flux differs
-        return [
-            TactileSensor(env=Environment(seed=(7, f), earth_field_ut=earth), finger_id=f)
-            for f, earth in enumerate([(0.0, 0.0, 0.0), (25.0, -10.0, 40.0)])
-        ]
-
-    pair = sensors()
-    both = FrontEnd(pair, config, idle)
-    singles = sensors()
-    each = [FrontEnd([sensor], config, idle) for sensor in singles]
-    np.testing.assert_array_equal(both.baseline, np.concatenate([f.baseline for f in each]))
-    for stimulus, pose in schedule:
-        got = both.hold([(stimulus, hold, pose)])
-        assert got.shape == (hold, 2, 19)
-        want = np.concatenate([f.hold([(stimulus, hold, pose)]) for f in each], axis=1)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    for x, y in zip(pair, singles):
-        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+    # fingers whose flux differs through the earth field, fingers that share
+    # every spec (and so one response), and fingers that differ in one spec
+    for fingers in ("earth", "same", "magnet", "elastomer"):
+        pair = two_fingers(fingers, 7)
+        both = FrontEnd(pair, config, idle)
+        singles = two_fingers(fingers, 7)
+        each = [FrontEnd([sensor], config, idle) for sensor in singles]
+        np.testing.assert_array_equal(both.baseline, np.concatenate([f.baseline for f in each]))
+        for stimulus, pose in schedule:
+            got = both.hold([(stimulus, hold, pose)])
+            assert got.shape == (hold, 2, 19)
+            want = np.concatenate([f.hold([(stimulus, hold, pose)]) for f in each], axis=1)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=fingers)
+        for x, y in zip(pair, singles):
+            assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state, fingers
 
 
 def schedule_entries():
@@ -253,27 +248,63 @@ def schedule_entries():
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("window", [1, 6, 8])
-def test_a_schedule_holds_as_its_entries_held_in_turn(k, window):
+def test_a_schedule_holds_as_its_entries_held_in_turn(k, window, two_fingers):
     config = StreamConfig(init_samples=20, baseline_tail=5, ma_window=window)
     idle = ContactStimulus(location_mm=(4.5, 8.0))
 
-    def front_end():
-        sensors = [
+    def front_end(fingers):
+        sensors = two_fingers(fingers, 3) if fingers else [
             TactileSensor(env=Environment(seed=(3, f), earth_field_ut=(25.0, -10.0 * f, 40.0)), finger_id=f)
             for f in range(k)
         ]
         return FrontEnd(sensors, config, idle)
 
-    whole, chained = front_end(), front_end()
-    entries = schedule_entries()
-    for _ in range(2):  # the second schedule runs on over the first one's history
-        got = whole.hold(entries)
-        want = np.concatenate([chained.hold([entry]) for entry in entries])
-        assert got.shape == (sum(n for _, n, _ in entries), k, 19)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(whole._history.view(np.uint64), chained._history.view(np.uint64))
-        for x, y in zip(whole.sensors, chained.sensors):
-            assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+    # two fingers also as fingers that share every spec, or differ in one
+    for fingers in [None] + (["same", "magnet", "elastomer"] if k == 2 else []):
+        whole, chained = front_end(fingers), front_end(fingers)
+        entries = schedule_entries()
+        for _ in range(2):  # the second schedule runs on over the first one's history
+            got = whole.hold(entries)
+            want = np.concatenate([chained.hold([entry]) for entry in entries])
+            assert got.shape == (sum(n for _, n, _ in entries), k, 19)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=fingers)
+            np.testing.assert_array_equal(whole._history.view(np.uint64), chained._history.view(np.uint64))
+            for x, y in zip(whole.sensors, chained.sensors):
+                assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state, fingers
+
+
+@pytest.mark.parametrize("fingers, responses", [("same", 1), ("earth", 2), ("magnet", 2), ("elastomer", 2)])
+def test_sensors_of_equal_physics_share_one_response(fingers, responses, two_fingers, monkeypatch):
+    calls, response = [], TactileSensor.response
+
+    def counted(self, schedule):
+        calls.append(self.finger_id)
+        return response(self, schedule)
+
+    monkeypatch.setattr(TactileSensor, "response", counted)
+    front = FrontEnd(two_fingers(fingers, 7), StreamConfig(init_samples=20, baseline_tail=5), ContactStimulus())
+    front.hold([(ContactStimulus(force_n=(0.0, 0.0, 1.0)), 6, None)])
+    assert calls == [0, 1][:responses] * 2  # the window, then the hold
+
+
+def test_a_front_end_needs_a_sensor():
+    with pytest.raises(ValueError, match="at least one sensor"):
+        FrontEnd([], StreamConfig(), ContactStimulus())
+
+
+@pytest.mark.parametrize("bad", [-2, 2.0, np.float64(3.0), True, "3", None], ids=repr)
+def test_a_frame_count_other_than_an_integer_from_zero_is_refused_before_any_draw(bad):
+    press = ContactStimulus(force_n=(0.0, 0.0, 1.0))
+    schedule = [(press, 5, None), (press, bad, None)]
+    sensor = TactileSensor(env=Environment(seed=5))
+    front = FrontEnd([sensor, TactileSensor(env=Environment(seed=6))], StreamConfig(), ContactStimulus())
+    states = [s.env.rng.bit_generator.state for s in front.sensors]
+    for call in (sensor.sample_block, front.hold):
+        with pytest.raises(ValueError, match="frame count"):
+            call(schedule)
+    assert [s.env.rng.bit_generator.state for s in front.sensors] == states
+    counts, _ = sensor.sample_block([(press, 5, None), (press, np.int64(2), None)])
+    assert len(counts) == 7
 
 
 def test_an_empty_schedule_draws_nothing():

@@ -97,6 +97,18 @@ def test_saturation_clips_at_the_adc_ceiling(elastomer, quiet_env):
     assert sample_fa1(press(2.0), elastomer, quiet_env).max() < 1023
 
 
+def test_footprint_weights_are_memoised_read_only_by_value():
+    w = footprint_weights((4.5, 8.0), 5.3)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    # keyed on the values as floats: an array location or an integer radius hits it
+    assert footprint_weights(np.array([4.5, 8.0]), 5.3) is w
+    assert footprint_weights((5, 5), 4) is footprint_weights((5.0, 5.0), 4.0)
+    with pytest.raises(ValueError, match="overlap"):
+        footprint_weights((1e6, 1e6), 1.0)
+
+
 def test_pressure_centroid_matches_weighted_grid(rng):
     for _ in range(20):
         loc = rng.uniform(3.0, 9.0, size=2)
@@ -151,6 +163,32 @@ def test_elastomer_validation():
         ElastomerSpec(modulus_kpa=0.0)
     with pytest.raises(ValueError):
         ElastomerSpec(backlash_mm=-0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"fa1_noise_counts": np.nan}, {"fa1_noise_counts": -1.0}, {"fa1_noise_counts": np.inf},
+        {"sa2_noise_ut": np.nan}, {"sa2_noise_ut": -0.5}, {"sa2_noise_ut": np.inf},
+        {"quantization_ut": np.nan}, {"quantization_ut": -0.15}, {"quantization_ut": np.inf},
+        {"earth_field_ut": (np.nan, 0.0, 0.0)}, {"earth_field_ut": (0.0, np.inf, 0.0)},
+        {"earth_field_ut": (0.0, 0.0, -np.inf)},
+    ],
+    ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))),
+)
+def test_environment_refuses_what_would_turn_noise_rounding_or_flux_to_nonsense(kwargs):
+    # a NaN noise scale used to turn the noise off, a negative step the
+    # rounding, and a NaN earth field gave frames of NaN flux
+    with pytest.raises(ValueError):
+        Environment(**kwargs)
+
+
+def test_environment_takes_zero_as_off(quiet_env):
+    sensor = TactileSensor(env=quiet_env)
+    state = quiet_env.rng.bit_generator.state
+    counts, flux = sensor.sample_block([(press(1.0), 3, None)])
+    assert quiet_env.rng.bit_generator.state == state  # nothing drawn
+    np.testing.assert_array_equal(flux, np.tile(flux[0], (3, 1)))
 
 
 # ---------------------------------------------------------------------------
