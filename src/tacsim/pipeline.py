@@ -345,7 +345,11 @@ def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
     record the reader would refuse or a comment of more than one line or
     that UTF-8 cannot encode.
     """
-    records = _as_records(frames)
+    _write_records_csv(_as_records(frames), path, header_comment)
+
+
+def _write_records_csv(records, path, header_comment: str | None) -> None:
+    """``write_frames_csv`` of records already checked."""
     head = ""
     if header_comment:
         if "\n" in header_comment or "\r" in header_comment:

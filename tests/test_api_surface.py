@@ -17,6 +17,8 @@ KEPT = {
     "pipeline.StreamProcessor.process": "oracle: StreamProcessor's one entry point",
     "pipeline.decode_frames": "reads the binary stream log back",
     "pipeline.read_frames_csv": "reads the CSV stream log back",
+    "pipeline.encode_frames": "writes a binary stream log of frames from any source, checked",
+    "pipeline.write_frames_csv": "writes a CSV stream log of frames from any source, checked",
     "estimation.load_calibration": "reads calibration.txt back",
     "rotations.axis_angle": "acceptance criterion 05 builds its poses with it",
     "disturbance.SnrReport.table": "acceptance criterion 07 reads the sweep per marker",

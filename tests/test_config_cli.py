@@ -159,6 +159,9 @@ BAD_VALUES = [
     ("grasp", "grasp.egg_crush_n=0"),
     ("grasp", "grasp.policy=hysteresis", "grasp.close_above=100"),
     ("grasp", "grasp.object=tweezers", "grasp.tweezers_size_mm=20"),
+    # these two simulated the configured grasp, then exited 1 with RankDeficientFit
+    ("grasp", "grasp.object=tweezers", "grasp.policy=hysteresis", "grasp.tweezers_sizes_mm=5"),
+    ("grasp", "grasp.object=tweezers", "grasp.policy=hysteresis", "grasp.tweezers_sizes_mm=5,5"),
     ("characterize", "stream.baseline_tail=0"),
     ("stream", "stream.fingers=300", "stream.binary=true"),
     ("stream", "noise.sa2_sigma_ut=nan"),

@@ -469,6 +469,18 @@ def assert_same_rows(got, want):
         assert a.tolist() == b.tolist(), name
 
 
+def assert_same_run(sim, trace, other_sim, other):
+    """Rows, events and final state equal, and each sensor left with the same RNG state."""
+    assert_same_rows(trace.rows, other.rows)
+    assert trace.events == other.events
+    a, b = trace.state, other.state
+    assert (a.phase, a.tick, a.hold_elapsed_s) == (b.phase, b.tick, b.hold_elapsed_s)
+    for name in ("motor_deg", "signal", "halted"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for x, y in zip(sim.sensors, other_sim.sensors):
+        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
 SHORT_INIT = {"init_samples": 20, "baseline_tail": 5}
 EGG, SINGLE = Egg(), SingleThreshold()
 TWEEZERS, QUICK_HOLD = Tweezers(), HysteresisPolicy(hold_s=0.2)
@@ -523,15 +535,7 @@ WITH_FINGERS = {**{case: (*args, "earth") for case, args in KERNEL_CASES.items()
 def test_kernel_matches_the_frame_by_frame_loop(obj, policy, stream, noise, max_ticks, fingers, two_fingers):
     kernel_sim, frame_sim = (GraspSimulation(obj, policy, two_fingers(fingers, 4, **noise), stream=stream)
                              for _ in range(2))
-    kernel, frames = kernel_sim.run(max_ticks), per_frame_run(frame_sim, max_ticks)
-    assert_same_rows(kernel.rows, frames.rows)
-    assert kernel.events == frames.events
-    a, b = kernel.state, frames.state
-    assert (a.phase, a.tick, a.hold_elapsed_s) == (b.phase, b.tick, b.hold_elapsed_s)
-    for name in ("motor_deg", "signal", "halted"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    for x, y in zip(kernel_sim.sensors, frame_sim.sensors):
-        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+    assert_same_run(kernel_sim, kernel_sim.run(max_ticks), frame_sim, per_frame_run(frame_sim, max_ticks))
 
 
 def recorded_holds(monkeypatch):
@@ -591,3 +595,114 @@ def test_the_controller_runs_only_where_it_can_act(obj, policy, stream, monkeypa
     allowed = {trace.event_tick("release_start"), stream.init_samples}
     assert calls and all(gated or tick in allowed for tick, gated in calls)
     assert len(calls) <= (len(trace.rows) // 2 - stream.init_samples) // stream.ma_window + 2
+
+
+# ---------------------------------------------------------------------------
+# a run that replays an earlier one against fresh runs
+# ---------------------------------------------------------------------------
+
+def replayed(two_fingers, monkeypatch, base, obj, policy=HysteresisPolicy(), stream=StreamConfig(),
+             max_ticks=2500, seed=4, **noise):
+    """``run(after=base)`` and the same run afresh, each on fresh sensors: the
+    two simulations and traces, then the frames the replaying run held in
+    ``FrontEnd.hold`` and the frames its sensors drew, all fingers together."""
+    def sim():
+        return GraspSimulation(obj, policy, two_fingers("earth", seed, **noise), stream=stream)
+
+    fresh_sim, replay_sim = sim(), sim()
+    fresh = fresh_sim.run(max_ticks)
+    held, drawn, digitize = recorded_holds(monkeypatch), [], TactileSensor.digitize
+    monkeypatch.setattr(TactileSensor, "digitize",
+                        lambda self, response: drawn.append(len(response)) or digitize(self, response))
+    replay = replay_sim.run(max_ticks, after=base)
+    return replay_sim, replay, fresh_sim, fresh, sum(held), sum(drawn)
+
+
+@pytest.fixture
+def six_mm(two_fingers):
+    """The linearity study's configured grasp, 6 mm tweezers, seed 4."""
+    return GraspSimulation(TWEEZERS, HysteresisPolicy(), two_fingers("earth", 4)).run(2500)
+
+
+@pytest.mark.parametrize("size", [2.0, 4.0, 8.0, 10.0])
+def test_a_size_replayed_after_another_is_a_fresh_run(size, six_mm, two_fingers, monkeypatch):
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(
+        two_fingers, monkeypatch, six_mm, Tweezers(object_size_mm=size))
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    # the shared segments are replayed, not simulated, and no init window is drawn
+    assert 0 < held < len(fresh.rows) // 2 - StreamConfig().init_samples
+    assert drawn == 2 * held
+    assert trace.event_tick("hold_start") != six_mm.event_tick("hold_start")
+
+
+@pytest.mark.parametrize("size", [44.0, 46.0])
+def test_an_egg_of_another_size_replayed_is_a_fresh_run(size, two_fingers, monkeypatch):
+    # at the first checkpoint both eggs give no force, but the larger is touched
+    # sooner: its first segment ends sooner too
+    stream = StreamConfig(**SHORT_INIT)
+    base = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4), stream=stream).run(3000)
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(
+        two_fingers, monkeypatch, base, Egg(size_mm=size), SINGLE, stream, 3000)
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    assert 0 < held <= len(fresh.rows) // 2 - SHORT_INIT["init_samples"]
+    assert drawn == 2 * held
+
+
+def test_the_same_object_replayed_is_a_copy(six_mm, two_fingers, monkeypatch):
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(two_fingers, monkeypatch, six_mm, TWEEZERS)
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    assert held == drawn == 0
+    assert not np.shares_memory(trace.rows, six_mm.rows)
+    assert trace.events is not six_mm.events and trace.state.halted is not six_mm.state.halted
+    before = six_mm.rows.signal.copy()
+    trace.rows.signal[:] = 0.0
+    trace.state.halted[:] = False
+    np.testing.assert_array_equal(six_mm.rows.signal, before)
+    assert six_mm.state.halted.all()
+
+
+def test_a_replay_of_a_replay_is_a_fresh_run(six_mm, two_fingers, monkeypatch):
+    two_mm = replayed(two_fingers, monkeypatch, six_mm, Tweezers(object_size_mm=2.0))[1]
+    sim, trace, fresh_sim, fresh, _, _ = replayed(
+        two_fingers, monkeypatch, two_mm, Tweezers(object_size_mm=3.0))
+    assert_same_run(sim, trace, fresh_sim, fresh)
+
+
+def test_an_init_window_force_that_differs_is_not_replayed(six_mm, two_fingers, monkeypatch):
+    # 51 mm tweezers in a 50 mm opening: squeezed from the first tick
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(
+        two_fingers, monkeypatch, six_mm, Tweezers(outer_width_mm=51.0))
+    assert trace.rows.contact_force_n[0] > 0.0
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    assert (held, drawn) == (len(fresh.rows) // 2 - StreamConfig().init_samples, len(fresh.rows))
+
+
+def test_a_replayed_crush_is_raised_as_in_a_fresh_run(two_fingers, monkeypatch):
+    stream = StreamConfig(**SHORT_INIT)
+    base = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4), stream=stream).run(3000)
+    assert base.rows.contact_force_n.max() > 1.0
+    sims = [GraspSimulation(Egg(crush_force_n=1.0), SINGLE, two_fingers("earth", 4), stream=stream)
+            for _ in range(2)]
+    with pytest.raises(CrushDetected) as fresh:
+        sims[0].run(3000)
+    with pytest.raises(CrushDetected) as replay:
+        sims[1].run(3000, after=base)
+    assert str(replay.value) == str(fresh.value)
+    for x, y in zip(*(sim.sensors for sim in sims)):
+        assert x.env.rng.bit_generator.state == y.env.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 5},
+    {"policy": HysteresisPolicy(hold_s=1.0)},
+    {"max_ticks": 2400},
+    {"stream": StreamConfig(ma_window=8)},
+    {"sa2_noise_ut": 0.5},
+    {"quantization_ut": 0.0},
+], ids=lambda change: "-".join(change))
+def test_a_run_that_differs_in_more_than_its_object_is_not_replayed(change, six_mm, two_fingers, monkeypatch):
+    # the same object: a replay would give the earlier run's trace
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(two_fingers, monkeypatch, six_mm, TWEEZERS, **change)
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    init = change.get("stream", StreamConfig()).init_samples
+    assert (held, drawn) == (len(fresh.rows) // 2 - init, len(fresh.rows))

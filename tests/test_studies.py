@@ -14,9 +14,16 @@ import numpy as np
 import pytest
 
 import tacsim
-from tacsim import cli, pipeline
+from tacsim import cli, experiments, pipeline
 from tacsim.config import load_config
-from tacsim.experiments import _header, _write_csv, run_characterize, run_disturbance, run_grasp
+from tacsim.experiments import (
+    _header,
+    _write_csv,
+    run_characterize,
+    run_disturbance,
+    run_grasp,
+    run_stream,
+)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -112,11 +119,12 @@ def test_grasp_outputs_follow_sensor_config(overrides, default_rows, tmp_path):
 
 @pytest.mark.parametrize(
     "overrides, most_holds",
-    [([], 5), (["grasp.object=tweezers", "grasp.policy=hysteresis"], 182)],
+    [([], 5), (["grasp.object=tweezers", "grasp.policy=hysteresis"], 85)],
     ids=["egg", "tweezers-hysteresis"],
 )
 def test_default_grasps_hold_few_blocks(overrides, most_holds, monkeypatch):
-    # one FrontEnd.hold per gated tick would be 60 and 1,052
+    # one FrontEnd.hold per gated tick would be 60 and 1,052; the tweezers study
+    # made 176 before its sweep replayed the segments it shares with its grasp
     calls, hold = [], pipeline.FrontEnd.hold
     monkeypatch.setattr(pipeline.FrontEnd, "hold", lambda *args: calls.append(args) or hold(*args))
     run_grasp(load_config(overrides=overrides))
@@ -133,6 +141,16 @@ def test_open_loop_studies_hold_one_schedule_per_sweep(run, holds, monkeypatch):
     monkeypatch.setattr(pipeline.FrontEnd, "hold", lambda *args: calls.append(args) or hold(*args))
     run(load_config())
     assert len(calls) == holds
+
+
+def test_stream_checks_its_records_once(monkeypatch, tmp_path):
+    # write_frames_csv and encode_frames each checked them again
+    checked, records = [], pipeline._records
+    for module in (pipeline, experiments):
+        monkeypatch.setattr(module, "_records", lambda *args: checked.append(len(args[0])) or records(*args))
+    run_stream(load_config(overrides=["stream.binary=true", "stream.fingers=3"]), tmp_path)
+    assert checked == [250, 250, 250]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stream.bin", "stream.csv"]
 
 
 @pytest.mark.parametrize(
