@@ -8,7 +8,6 @@ pairs) and checked against its entry, then the cross-key ``RULES`` are checked.
 An unknown key or any violation raises ConfigError before a study starts.
 """
 
-import configparser
 import hashlib
 import io
 import math
@@ -210,6 +209,8 @@ def load_config(path=None, overrides=(), seed=None) -> Config:
     values = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
 
     if path is not None:
+        import configparser  # here, not at module level: no study run without a file needs it
+
         parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path) as fh:
@@ -245,6 +246,8 @@ def load_config(path=None, overrides=(), seed=None) -> Config:
 
 def dump_default_config() -> str:
     """Render the built-in defaults as an INI document."""
+    import configparser
+
     parser = configparser.ConfigParser()
     for section, keys in DEFAULTS.items():
         parser[section] = {}

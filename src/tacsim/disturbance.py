@@ -11,12 +11,11 @@ that reason, which is why the implementation stacks observations and uses
 a rank-revealing decomposition.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DegenerateRotation, InvalidSignal, RankDeficient
 from .magnets import MagnetSpec, build_marker_set, cylinder_flux, effective_signal
+from .record import Record, fresh
 from .rotations import is_rotation
 
 IDENTITY_TOL = 1e-9
@@ -32,8 +31,7 @@ def snr(signal_ut, disturbance_ut):
     return signal_ut / (signal_ut + disturbance_ut)
 
 
-@dataclass
-class RotationObservation:
+class RotationObservation(Record):
     """Measured flux change for one rotation away from the reference pose.
 
     ``rotation`` maps the reference-pose field vector to the rotated-pose
@@ -50,8 +48,7 @@ class RotationObservation:
             raise ValueError("observation rotation must be a proper rotation")
 
 
-@dataclass
-class FieldFitReport:
+class FieldFitReport(Record):
     rank: int
     singular_values: np.ndarray
     condition: float
@@ -107,8 +104,7 @@ def predicted_disturbance(b_e_ut, rotation) -> np.ndarray:
     return (R - np.eye(3)) @ np.asarray(b_e_ut, dtype=float)
 
 
-@dataclass
-class SnrReport:
+class SnrReport(Record):
     """The sweep as columns: ``m`` markers by ``n`` lateral offsets."""
 
     magnet_ids: np.ndarray  # (m,)
@@ -116,7 +112,7 @@ class SnrReport:
     signal_ut: np.ndarray  # (m,)
     disturbance_ut: np.ndarray  # (m, n)
     snr: np.ndarray  # (m, n)
-    out_files: list = field(default_factory=list)
+    out_files: list = fresh(list)
 
     def table(self, magnet_id: int) -> np.ndarray:
         """``(n, 4)`` rows of dy, signal, disturbance and ratio for one marker."""

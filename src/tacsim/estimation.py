@@ -9,11 +9,11 @@ fitted intercept, which keeps the zero-input output equal to ``b``.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoContact, RankDeficientFit
+from .record import Record
 from .sensor import TAXEL_X_MM, TAXEL_Y_MM
 
 DEFAULT_PITCH_MM = 2.5
@@ -24,12 +24,11 @@ BLEND_GRID_STEP = 0.05
 DEFAULT_JOINT_CENTER_MM = np.array([6.25, 6.25, -10.0])
 
 
-@dataclass
-class CalibrationParams:
+class CalibrationParams(Record):
     """Per-axis affine force map plus the z-channel blend."""
 
-    k: np.ndarray = field(default_factory=lambda: np.ones(3))
-    b: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    k: np.ndarray = (1.0, 1.0, 1.0)  # made arrays by __post_init__
+    b: np.ndarray = (0.0, 0.0, 0.0)
     blend: float = 0.0
     pitch_mm: float = DEFAULT_PITCH_MM
     scale_bz: float = 1.0
@@ -50,8 +49,7 @@ class CalibrationParams:
             raise ValueError("slopes and intercepts must be finite")
 
 
-@dataclass
-class SweepSample:
+class SweepSample(Record):
     """One averaged dwell from a characterization run, or ``n`` of them on a leading axis."""
 
     force_true_n: np.ndarray
@@ -73,8 +71,7 @@ class SweepSample:
         return self.sa2_rel
 
 
-@dataclass
-class CharacterizationSweep:
+class CharacterizationSweep(Record):
     location_label: str
     samples: list
 

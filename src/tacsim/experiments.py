@@ -7,7 +7,6 @@ run with the same config and seed is byte-identical.
 """
 
 import csv
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +55,7 @@ from .pipeline import (
     # it; run_stream writes its checked records through the codec's private half
     encode_frames,  # noqa: F401
 )
+from .record import Record, replace
 from .rotations import rot_x, rot_y
 from .sensor import (
     ContactStimulus,
@@ -156,8 +156,7 @@ def _stream_config(cfg: Config) -> StreamConfig:
 # characterization + calibration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocationMetrics:
+class LocationMetrics(Record):
     label: str
     n_samples: int
     location_rmse_mm: float
@@ -166,8 +165,7 @@ class LocationMetrics:
     torque_rmse_nmm: float
 
 
-@dataclass
-class CharacterizeResult:
+class CharacterizeResult(Record):
     sweeps: list
     params: CalibrationParams
     metrics: list
@@ -268,8 +266,7 @@ def run_calibrate(cfg: Config, out_dir=None):
 # disturbance rejection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DisturbanceResult:
+class DisturbanceResult(Record):
     earth_estimate_ut: np.ndarray
     fit_report: object
     signal_ut: float
@@ -388,8 +385,7 @@ def run_snr_sweep(cfg: Config, out_dir=None) -> SnrReport:
 # grasping
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraspResult:
+class GraspResult(Record):
     trace: object
     linearity: object
     out_files: list
@@ -445,7 +441,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
             lambda size: grasp(replace(obj, object_size_mm=size), after=trace),
             geometry,
         )
-        trace.replay = None  # what the sweep replayed, not carried through the writes
+    trace.replay = None  # what a later grasp could replay; no later grasp runs
 
     out_files = []
     if out_dir is not None:
@@ -469,8 +465,7 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 # raw streaming
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StreamResult:
+class StreamResult(Record):
     frames: np.recarray  # FRAME_DTYPE records, interleaved by finger
     out_files: list
 

@@ -17,13 +17,13 @@ policies:
 import copy
 import itertools
 import math
-from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
 from .pipeline import FrontEnd, StreamConfig
+from .record import Record, astuple, fresh, replace
 from .sensor import ContactStimulus, travel_stop_force_n
 
 
@@ -35,8 +35,7 @@ class Phase(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class SingleThreshold:
+class SingleThreshold(Record, frozen=True):
     threshold: float = 700.0
     blend: float = 0.3
 
@@ -49,8 +48,7 @@ class SingleThreshold:
         return self.threshold
 
 
-@dataclass(frozen=True)
-class HysteresisPolicy:
+class HysteresisPolicy(Record, frozen=True):
     close_above: float = 900.0
     release_below: float = 500.0
     hold_s: float = 2.0
@@ -67,8 +65,7 @@ class HysteresisPolicy:
         return self.close_above
 
 
-@dataclass(frozen=True)
-class GripperGeometry:
+class GripperGeometry(Record, frozen=True):
     opening_mm: float = 50.0
     pinion_radius_mm: float = 6.0
     increment_deg: float = 1.5
@@ -88,16 +85,14 @@ class GripperGeometry:
 # separation grows, for GraspSimulation looks ahead on it
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoObject:
+class NoObject(Record, frozen=True):
     crush_force_n = None
 
     def contact_force(self, separation_mm: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
-class RigidObject:
+class RigidObject(Record, frozen=True):
     size_mm: float = 40.0
     stiffness_n_per_mm: float = 500.0
     crush_force_n = None
@@ -112,8 +107,7 @@ class RigidObject:
         return max(0.0, (self.size_mm - separation_mm) * self.stiffness_n_per_mm)
 
 
-@dataclass(frozen=True)
-class Egg:
+class Egg(Record, frozen=True):
     size_mm: float = 45.0
     stiffness_n_per_mm: float = 5.0
     crush_force_n: float = 25.0
@@ -128,8 +122,7 @@ class Egg:
         return max(0.0, (self.size_mm - separation_mm) * self.stiffness_n_per_mm)
 
 
-@dataclass(frozen=True)
-class Tweezers:
+class Tweezers(Record, frozen=True):
     """Sprung tweezers squeezed by the gripper around a small object.
 
     Squeezing the arms by s mm closes the tip gap by the same amount
@@ -165,12 +158,11 @@ class Tweezers:
         return force
 
 
-@dataclass
-class GripperState:
+class GripperState(Record):
     phase: Phase = Phase.IDLE
-    motor_deg: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    signal: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    halted: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=bool))
+    motor_deg: np.ndarray = fresh(lambda: np.zeros(2))
+    signal: np.ndarray = fresh(lambda: np.zeros(2))
+    halted: np.ndarray = fresh(lambda: np.zeros(2, dtype=bool))
     hold_elapsed_s: float = 0.0
     tick: int = 0
 
@@ -270,14 +262,13 @@ def _copy_state(state: GripperState) -> GripperState:
                    halted=state.halted.copy())
 
 
-@dataclass
-class GraspTrace:
+class GraspTrace(Record, hidden=("replay",)):
     rows: np.recarray  # TRACE_DTYPE records: finger 0, then finger 1, for each tick
     events: list
     state: GripperState
     # what a later run resumes from (see GraspSimulation.run): its key, the front end,
     # the checkpoints, the columns but the signal, and each sensor's final RNG state
-    replay: tuple | None = field(default=None, repr=False)
+    replay: tuple | None = None
 
     def event_tick(self, name: str) -> int | None:
         for tick, event in self.events:
@@ -530,8 +521,7 @@ def _trace_rows(runs, signal_parts, force_runs, labels) -> np.recarray:
     return rows
 
 
-@dataclass
-class LinearityResult:
+class LinearityResult(Record):
     sizes_mm: np.ndarray
     hold_gap_mm: np.ndarray
     slope: float

@@ -29,12 +29,12 @@ model the offset is measured from the centre of the magnet's bottom face
 (the face looking at the flux sensor); sub-dipoles fill z in [0, height].
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoConvergence, OffsetTooSmall
+from .record import Record
 
 # B[uT] = MU0_4PI * m[A m^2] * geometry / r[mm]^3
 MU0_4PI_UT_MM3 = 1.0e8
@@ -65,8 +65,7 @@ _EPS = float(np.finfo(float).eps)
 _ORIGIN = np.zeros((1, 3))  # the point dipole's single source
 
 
-@dataclass(frozen=True)
-class MagnetSpec:
+class MagnetSpec(Record, frozen=True):
     """Cylindrical marker magnet, axially magnetised along +z."""
 
     moment_a_m2: float

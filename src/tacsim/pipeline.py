@@ -17,12 +17,12 @@ codec, writer or reader, runs the same ``MalformedRecord`` check.
 import csv
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientSamples, MalformedRecord
+from .record import Record
 
 ADC_MAX = 1023
 FA1_SHAPE = (4, 4)
@@ -42,8 +42,7 @@ CSV_HEADER = (
 _CSV_ROW = np.dtype([("ints", "<i8", (18,)), ("flux", "<f8", (3,))])
 
 
-@dataclass
-class StreamConfig:
+class StreamConfig(Record):
     sample_rate_hz: int = 250
     init_samples: int = 300
     baseline_tail: int = 100
@@ -60,8 +59,7 @@ class StreamConfig:
             raise ValueError("sample rate must be positive")
 
 
-@dataclass
-class TactileFrame:
+class TactileFrame(Record):
     """One raw sample: 4x4 integer counts plus the three flux axes (uT)."""
 
     timestamp_us: int
@@ -82,8 +80,7 @@ class TactileFrame:
             raise ValueError("sa2 flux must be finite")
 
 
-@dataclass
-class RelativeFrame:
+class RelativeFrame(Record):
     """Baseline-subtracted (and possibly smoothed) frame; channels are real."""
 
     timestamp_us: int
@@ -100,8 +97,7 @@ class RelativeFrame:
         return float(self.fa1.sum())
 
 
-@dataclass
-class Baseline:
+class Baseline(Record):
     fa1_mean: np.ndarray
     sa2_mean: np.ndarray
     sample_count: int

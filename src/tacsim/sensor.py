@@ -14,14 +14,15 @@ it in the same direction as the force.  The taxel at row r, column c
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng  # at import: every study seeds generators
 
 from .errors import DisplacementOutOfRange
 from .magnets import MagnetSpec, cylinder_flux, default_magnet
 from .pipeline import ADC_MAX, FA1_SHAPE, TactileFrame
+from .record import Record
 from .rotations import is_rotation
 
 TAXEL_PITCH_MM = 2.5
@@ -46,8 +47,7 @@ DEFAULT_PROBE_RADIUS_MM = 5.3
 FOOTPRINT_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class ElastomerSpec:
+class ElastomerSpec(Record, frozen=True):
     """Shared material/electrical constants for both sensing layers."""
 
     modulus_kpa: float = 83.0
@@ -72,8 +72,7 @@ class ElastomerSpec:
             raise ValueError("backlash and dead zone must be non-negative")
 
 
-@dataclass(frozen=True)
-class ContactStimulus:
+class ContactStimulus(Record, frozen=True):
     """A single quasi-static contact: where and how hard."""
 
     location_mm: tuple = (6.25, 6.25)
@@ -97,23 +96,22 @@ class ContactStimulus:
             raise ValueError("probe radius must be positive and finite")
 
 
-@dataclass
-class Environment:
+class Environment(Record):
     """External conditions plus the explicitly carried RNG state.
 
     The earth field is given in the world frame; each sampling call poses
     the sensor with its own sensor-to-world ``orientation``.  ValueError
     for an earth field that is not finite, and for a noise scale or
     quantisation step that is NaN, negative or infinite (0 turns either
-    off).
+    off).  ``rng``, the generator seeded with ``seed``, is made by
+    ``__post_init__``: it is not a field, so neither an argument nor in ``repr``.
     """
 
-    earth_field_ut: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    earth_field_ut: np.ndarray = (0.0, 0.0, 0.0)  # made an array by __post_init__
     fa1_noise_counts: float = 2.0
     sa2_noise_ut: float = 1.0
     quantization_ut: float = 0.15
     seed: int = 0
-    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         self.earth_field_ut = np.asarray(self.earth_field_ut, dtype=float).reshape(3)
@@ -122,7 +120,7 @@ class Environment:
         for name in ("fa1_noise_counts", "sa2_noise_ut", "quantization_ut"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and not negative, got {getattr(self, name)!r}")
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = default_rng(self.seed)
 
 
 def footprint_weights(location_mm, probe_radius_mm: float = DEFAULT_PROBE_RADIUS_MM) -> np.ndarray:

@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from tacsim.magnets import default_magnet
+from tacsim.record import replace
 from tacsim.sensor import ElastomerSpec, Environment, TactileSensor
 
 

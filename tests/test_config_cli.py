@@ -181,6 +181,7 @@ BAD_FILES = {
     "config-file-ma-window": b"[stream]\nma_window = 0\n",
     "config-file-percent": b"[characterize]\nlocations = 50%\n",
     "config-file-not-utf8": b"\xff\xfe[stream]\n",
+    "config-file-no-section": b"rate_hz = 5\n",  # configparser.Error, imported in load_config
 }
 
 

@@ -164,6 +164,11 @@ def test_grasp_objects_run_at_the_default_config(overrides, hold_tick, tmp_path,
     assert run_grasp(load_config(overrides=overrides)).trace.event_tick("hold_start") == hold_tick
 
 
+@pytest.mark.parametrize("overrides", [[], TWEEZERS], ids=["egg", "tweezers-linearity"])
+def test_grasp_results_carry_no_replay_data(overrides):
+    assert run_grasp(load_config(overrides=overrides)).trace.replay is None
+
+
 # ---------------------------------------------------------------------------
 # the study writer, column by column, against the per-cell writer
 # ---------------------------------------------------------------------------
