@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-    tacsim <command> [--config FILE] [--out DIR] [--seed N] [--set sec.key=v]...
+    tacsim <command> [--config FILE] [--out DIR] [--seed N] [--set SEC.KEY=VALUE]...
 
-Exit codes: 0 success, 2 configuration problem or unwritable output, 1 runtime failure.
+The command word comes first.  Each option takes one value, as ``--opt value``
+or ``--opt=value``; ``--set`` may be repeated, and an option is known only by
+its full name.  ``-h``/``--help`` prints the usage.
+
+Exit codes: 0 success, 2 usage error, configuration problem or unwritable
+output, 1 runtime failure.
 """
 
-import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -22,56 +25,102 @@ COMMANDS = {
     "grasp": experiments.run_grasp,
     "stream": experiments.run_stream,
 }
+DUMP = "default-config"  # prints the built-in defaults; takes only a hidden --out
+
+USAGE = "usage: tacsim <command> [--config FILE] [--out DIR] [--seed N] [--set SEC.KEY=VALUE]..."
+
+# every study command takes each of these: option -> (value name, help)
+OPTIONS = {
+    "--config": ("FILE", "INI config file overlaying the defaults"),
+    "--out": ("DIR", "output directory (default: ./out)"),
+    "--seed": ("N", "override the RNG seed"),
+    "--set": ("SEC.KEY=VALUE", "override one config value (repeatable)"),
+}
+HELP = ("-h", "--help")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built on first use and shared by every ``main`` call."""
-    parser = argparse.ArgumentParser(
-        prog="tacsim",
-        description="Tactile fingertip sensor twin: simulation and analysis studies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} study")
-        p.add_argument("--config", default=None, help="INI config file overlaying the defaults")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SEC.KEY=VALUE",
-            help="override one config value (repeatable)",
-        )
-    dump = sub.add_parser("default-config", help="print the built-in defaults and exit")
-    dump.add_argument("--out", default=None, help=argparse.SUPPRESS)
-    return parser
+class _UsageError(Exception):
+    """A command line outside the grammar."""
+
+
+def _help() -> str:
+    commands = {name: f"run the {name} study" for name in COMMANDS}
+    commands[DUMP] = "print the built-in defaults and exit"
+    options = {f"{opt} {value}": text for opt, (value, text) in OPTIONS.items()}
+    options[", ".join(HELP)] = "show this help and exit"
+    return "\n".join(
+        [USAGE, "", "Tactile fingertip sensor twin: simulation and analysis studies.", "", "commands:"]
+        + [f"  {name:<16}{text}" for name, text in commands.items()]
+        + ["", "options:"]
+        + [f"  {name:<22}{text}" for name, text in options.items()]
+    ) + "\n"
+
+
+def _parse(argv):
+    """``(command, values)`` for one command line; the command is None when help is asked for."""
+    if not argv:
+        raise _UsageError("a command is required")
+    command = argv[0]
+    if command in HELP:
+        return None, {}
+    if command not in COMMANDS and command != DUMP:
+        raise _UsageError(f"unknown command {command!r} (choose from {', '.join([*COMMANDS, DUMP])})")
+    known = ("--out",) if command == DUMP else OPTIONS
+    values = {"config": None, "out": "out", "seed": None, "set": []}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return None, values
+        name, eq, value = token.partition("=")
+        if name not in known:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            # a token that names an option is not a value; -1 and -.5 are values
+            if value is None or value[:1] == "-" and value[1:2] not in "0123456789.":
+                raise _UsageError(f"{name} expects a value")
+        if name == "--set":
+            values["set"].append(value)
+        elif name == "--seed":
+            try:
+                values["seed"] = int(value)
+            except ValueError:
+                raise _UsageError(f"--seed expects an integer, got {value!r}") from None
+        else:
+            values[name[2:]] = value
+    return command, values
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "default-config":
+    try:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"{USAGE}\ntacsim: error: {exc}", file=sys.stderr)
+        return 2
+    if command is None:
+        print(_help(), end="")
+        return 0
+    if command == DUMP:
         print(dump_default_config(), end="")
         return 0
+    out = args["out"]
     try:
-        cfg = load_config(args.config, args.overrides, seed=args.seed)
+        cfg = load_config(args["config"], args["set"], seed=args["seed"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"output error: cannot create directory {args.out}: {exc.strerror}", file=sys.stderr)
+        print(f"output error: cannot create directory {out}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
-        result = COMMANDS[args.command](cfg, args.out)
+        result = COMMANDS[command](cfg, out)
     except TacsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"output error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        print(f"output error: cannot write {exc.filename or out}: {exc.strerror}", file=sys.stderr)
         return 2
     for path in getattr(result, "out_files", []):
         print(f"wrote {path}")

@@ -117,6 +117,20 @@ SCHEMA = {
 
 DEFAULTS = {sec: {key: spec.default for key, spec in keys.items()} for sec, keys in SCHEMA.items()}
 
+
+def _characterize_frames(v) -> int:
+    """Frames characterize holds: per location, the init block and each stimulus's dwell."""
+    ch = v["characterize"]
+
+    def grid(start, stop, step):  # len(np.arange(start, stop, step)) for step > 0
+        return math.ceil((stop - start) / step)
+
+    forces = grid(0.0, ch["force_max_n"] + ch["force_step_n"] / 2, ch["force_step_n"])
+    shears = grid(-ch["shear_max_n"], ch["shear_max_n"] + ch["shear_step_n"] / 2, ch["shear_step_n"])
+    per_location = v["stream"]["init_samples"] + (forces + 2 * shears) * ch["dwell_frames"]
+    return len(_pairs(ch["locations"])) * per_location
+
+
 # Rules between keys, (rule, holds(values)); checked once every key passed its own entry.
 RULES = (
     ("stream.baseline_tail <= stream.init_samples",
@@ -124,6 +138,9 @@ RULES = (
     ("stream.duration_s * stream.rate_hz gives 1 frame or more, 1,000,000 at most over all fingers",
      lambda v: 1 <= (n := round(v["stream"]["duration_s"] * v["stream"]["rate_hz"]))
      and n * v["stream"]["fingers"] <= 1_000_000),
+    ("characterize holds 1,000,000 frames at most: locations * (stream.init_samples"
+     " + stimuli * characterize.dwell_frames)",
+     lambda v: _characterize_frames(v) <= 1_000_000),
     ("grasp.release_below < grasp.close_above",
      lambda v: v["grasp"]["release_below"] < v["grasp"]["close_above"]),
     ("grasp.tweezers_size_mm and every grasp.tweezers_sizes_mm <= grasp.tweezers_tip_gap_mm",

@@ -379,8 +379,15 @@ def read_frames_csv(path) -> np.recarray:
     Only lines that start with ``#`` are comments; a ``#`` elsewhere, a
     blank row or a quoted field is a bad row.
     """
-    with Path(path).open(encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError:
+        try:  # the reader decodes chunk by chunk; a decode of the whole file gives the file's offset
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"CSV log is not UTF-8 at byte {exc.start}: {exc.reason}") from None
+        raise
     if not lines or next(csv.reader(lines[:1])) != CSV_HEADER:
         raise MalformedRecord("unexpected CSV header")
     body = lines[1:]

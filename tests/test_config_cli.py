@@ -1,4 +1,8 @@
 import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,13 +131,81 @@ def test_main_calls_share_the_parser_but_not_its_values(tmp_path, monkeypatch):
     assert [(c.get("grasp", "object"), c.get("grasp", "policy"), c.get("environment", "seed"))
             for c in seen] == [("rigid", "single", 5), ("egg", "hysteresis", 20260814),
                                ("egg", "single", 20260814)]
-    assert cli.build_parser() is cli.build_parser()
+    first = cli._parse(["grasp", "--set", "grasp.object=rigid"])[1]
+    first["set"].append("grasp.policy=hysteresis")
+    assert cli._parse(["grasp"])[1]["set"] == []
 
 
 def test_cli_rejects_bad_override(capsys):
     code = main(["snr-sweep", "--set", "snr.dy_min=4"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+# Command lines outside the grammar; each --out names a directory that must not appear.
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["bogus", "--out", "given"],
+    "unknown-option": ["grasp", "--out", "given", "--bogus", "1"],
+    "abbreviated-option": ["grasp", "--out", "given", "--conf", "run.ini"],
+    "positional": ["grasp", "--out", "given", "grasp.object=rigid"],
+    "no-value": ["grasp", "--out", "given", "--seed"],
+    "option-for-a-value": ["grasp", "--config", "--out", "given"],
+    "seed-not-an-integer": ["grasp", "--out", "given", "--seed", "x"],
+    "seed-empty": ["grasp", "--out=given", "--seed="],
+    "dump-with-seed": ["default-config", "--out", "given", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_two_before_any_output(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default --out, ./out, would go
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tacsim <command> ")
+    assert "\ntacsim: error: " in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["grasp", "--help"], ["default-config", "-h"],
+                                  ["stream", "--seed", "3", "-h"]])
+def test_help_prints_the_usage_and_exits_zero(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tacsim <command> ") and captured.err == ""
+    for name in [*cli.COMMANDS, "default-config", *cli.OPTIONS]:
+        assert f"\n  {name} " in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_equals_value_reads_as_option_then_value(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "grasp", lambda cfg, out: seen.append((cfg.hash(), out)))
+    path = tmp_path / "run.ini"
+    path.write_text("[noise]\nsa2_sigma_ut = 0.5\n")
+    out = str(tmp_path / "o")
+    spaced = ["--config", str(path), "--seed", "5", "--set", "grasp.object=rigid",
+              "--set", "grasp.hold_s=1", "--out", out]
+    joined = [f"{option}={value}" for option, value in zip(spaced[::2], spaced[1::2])]
+    assert main(["grasp"] + spaced) == 0
+    assert main(["grasp"] + joined) == 0
+    want = load_config(path, ["grasp.object=rigid", "grasp.hold_s=1"], seed=5).hash()
+    assert seen == [(want, out)] * 2
+
+
+def test_import_cli_loads_no_argument_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy, numpy.random\n"
+            "before = set(sys.modules)\n"
+            "import tacsim.cli\n"
+            "tacsim.cli._parse(['grasp', '--seed', '1', '--set', 'grasp.object=rigid'])\n"
+            "print(' '.join(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # Each of these crashed mid-study with a traceback, or exited 0 with NaN,
@@ -173,6 +245,9 @@ BAD_VALUES = [
     ("snr-sweep", "snr.dy_min_mm=40"),
     ("grasp", "grasp.hold_s=-1"),
     ("grasp", "grasp.blend=2"),
+    # 5 locations of 10,001 + 2 * 9 stimuli x 1000 frames: 5e7 frames, one hold per location
+    ("characterize", "characterize.force_step_n=0.01", "characterize.force_max_n=100",
+     "characterize.dwell_frames=1000"),
 ]
 
 

@@ -573,6 +573,19 @@ def test_blank_csv_row_rejected(tmp_path, body):
         read_frames_csv(path)
 
 
+@pytest.mark.parametrize("where", ["prefix", "first-row", "last-row"])
+def test_csv_log_that_is_not_utf8_names_the_offset(tmp_path, where):
+    # the last row lies past the text reader's first 8 KiB chunk
+    path = tmp_path / "log.csv"
+    write_frames_csv([make_frame(t + 1, value=3) for t in range(200)], path)
+    data = path.read_bytes()
+    offset = {"prefix": 0, "first-row": data.index(b"\n") + 3, "last-row": len(data) - 5}[where]
+    assert where != "last-row" or offset > 8192
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(MalformedRecord, match=f"not UTF-8 at byte {offset}:"):
+        read_frames_csv(path)
+
+
 def test_header_only_csv_reads_as_zero_records_without_a_warning(tmp_path):
     path = tmp_path / "log.csv"
     write_frames_csv([], path, header_comment="empty")
