@@ -36,7 +36,7 @@ OPTIONS = {
     "--seed": ("N", "override the RNG seed"),
     "--set": ("SEC.KEY=VALUE", "override one config value (repeatable)"),
 }
-HELP = ("-h", "--help")
+HELP_FLAGS = ("-h", "--help")
 
 
 class _UsageError(Exception):
@@ -47,7 +47,7 @@ def _help() -> str:
     commands = {name: f"run the {name} study" for name in COMMANDS}
     commands[DUMP] = "print the built-in defaults and exit"
     options = {f"{opt} {value}": text for opt, (value, text) in OPTIONS.items()}
-    options[", ".join(HELP)] = "show this help and exit"
+    options[", ".join(HELP_FLAGS)] = "show this help and exit"
     return "\n".join(
         [USAGE, "", "Tactile fingertip sensor twin: simulation and analysis studies.", "", "commands:"]
         + [f"  {name:<16}{text}" for name, text in commands.items()]
@@ -61,7 +61,7 @@ def _parse(argv):
     if not argv:
         raise _UsageError("a command is required")
     command = argv[0]
-    if command in HELP:
+    if command in HELP_FLAGS:
         return None, {}
     if command not in COMMANDS and command != DUMP:
         raise _UsageError(f"unknown command {command!r} (choose from {', '.join([*COMMANDS, DUMP])})")
@@ -69,7 +69,7 @@ def _parse(argv):
     values = {"config": None, "out": "out", "seed": None, "set": []}
     tokens = iter(argv[1:])
     for token in tokens:
-        if token in HELP:
+        if token in HELP_FLAGS:
             return None, values
         name, eq, value = token.partition("=")
         if name not in known:
