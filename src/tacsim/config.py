@@ -141,6 +141,10 @@ RULES = (
     ("characterize holds 1,000,000 frames at most: locations * (stream.init_samples"
      " + stimuli * characterize.dwell_frames)",
      lambda v: _characterize_frames(v) <= 1_000_000),
+    ("characterize.tail_frames <= characterize.dwell_frames",
+     lambda v: v["characterize"]["tail_frames"] <= v["characterize"]["dwell_frames"]),
+    ("disturbance.tail_frames <= disturbance.dwell_frames",
+     lambda v: v["disturbance"]["tail_frames"] <= v["disturbance"]["dwell_frames"]),
     ("grasp.release_below < grasp.close_above",
      lambda v: v["grasp"]["release_below"] < v["grasp"]["close_above"]),
     ("grasp.tweezers_size_mm and every grasp.tweezers_sizes_mm <= grasp.tweezers_tip_gap_mm",

@@ -262,13 +262,13 @@ def _copy_state(state: GripperState) -> GripperState:
                    halted=state.halted.copy())
 
 
-class GraspTrace(Record, hidden=("replay",)):
+class GraspTrace(Record):
     rows: np.recarray  # TRACE_DTYPE records: finger 0, then finger 1, for each tick
     events: list
     state: GripperState
-    # what a later run resumes from (see GraspSimulation.run): its key, the front end,
-    # the checkpoints, the columns but the signal, and each sensor's final RNG state
-    replay: tuple | None = None
+    # not a field: set by GraspSimulation.run, what a later run resumes from: its key,
+    # the front end, the checkpoints and each sensor's final RNG state
+    replay = None
 
     def event_tick(self, name: str) -> int | None:
         for tick, event in self.events:
@@ -306,9 +306,10 @@ class GraspSimulation:
       ``grip_signal`` call.
     * In a segment ``controller_step`` runs only where it can act: on the
       gates while closing or releasing, and on the hysteresis release tick.
-      Phase and motors hold in between, so those ticks are one run of the
-      trace's columns; the record array of rows is filled once, at the end,
-      from the runs, the segments' signal arrays and the event labels.
+      Phase and motors hold in between, so those ticks are one slice of the
+      trace.  The trace is one ``TRACE_DTYPE`` buffer of ``max_ticks`` ticks,
+      written as the loop reaches each run, segment and event; the rows
+      returned are a copy of the ticks run.
     * No segment passes ``max_ticks``, nor, while closing, the first tick
       the loop could stop or release at if a hold started at the next gate,
       so no frame past the last tick is drawn.
@@ -342,7 +343,7 @@ class GraspSimulation:
         state at the start), with another object.  Such a run replays it: at
         each of its checkpoints, one per segment, this run's object gives the
         segment's force and end; from the first that differs it restores the
-        checkpoint (state, columns, filter history, RNG states) and simulates
+        checkpoint (state, trace so far, filter history, RNG states) and simulates
         on, and if none differs it returns a copy of the trace.  Either way
         the trace and the sensors' RNG states are those of a fresh run, bit
         for bit.
@@ -359,11 +360,6 @@ class GraspSimulation:
         key = (self.policy, self.geometry, astuple(self.stream), max_ticks, float(force).hex(), [
             (s.physics, s.env.fa1_noise_counts, s.env.sa2_noise_ut, s.env.quantization_ut,
              s.env.rng.bit_generator.state) for s in self.sensors])
-        # the trace's columns, each tick finger 0 then finger 1: runs of ticks that
-        # hold phase and motors, the grip signal per segment, the force per
-        # segment, and the labels of the ticks that have events
-        runs = [(Phase.IDLE.value, 0.0, 0.0, idle)]
-        signal_parts, force_runs, labels = [np.zeros(2 * idle)], [(force, idle)], []
         state.tick = idle - 1
 
         gate, rate = self.step_interval_ticks, self.stream.sample_rate_hz
@@ -376,18 +372,14 @@ class GraspSimulation:
         hold_tick, start, checkpoints = None, idle, []  # hold_tick: the hold's start
 
         if after is not None and after.replay is not None and after.replay[0] == key:
-            _, front, past, (runs, force_runs, labels), rng_end = after.replay
+            _, front, past, rng_end = after.replay
             k = self._first_change(past, hold_ticks, max_ticks)
-            if k == len(past):
-                self._set_rng_states(rng_end)
-                return GraspTrace(after.rows.copy(), list(after.events), _copy_state(after.state),
-                                  after.replay)
-            start, hold_tick, state, n_events, n_runs, n_labels, history, rng_states, _ = past[k]
+            # resume at checkpoint k; past the last, the run is the earlier one, with no tick left
+            start, hold_tick, state, n_events, history, rng_states, _ = past[k] if k < len(past) else (
+                max_ticks, None, after.state, len(after.events), None, rng_end, None)
             state, checkpoints, events = _copy_state(state), past[:k], after.events[:n_events]
-            runs, labels = runs[:n_runs], labels[:n_labels]
-            # the signal so far as one part; force_runs holds the window's force and one per segment
-            signal_parts, force_runs = [np.array(after.rows.signal[: 2 * start])], force_runs[: k + 1]
-            self._set_rng_states(rng_states)
+            for sensor, rng_state in zip(self.sensors, rng_states):
+                sensor.env.rng.bit_generator.state = rng_state
             front = copy.copy(front)
             front.sensors, front._history = self.sensors, history
         elif idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
@@ -397,9 +389,19 @@ class GraspSimulation:
         else:
             front = FrontEnd(self.sensors, self.stream, stimulus)
 
+        # the trace, written as the loop reaches each tick: two rows a tick, finger 0 then
+        # finger 1, so each field viewed as (max_ticks, 2) is indexed by tick
+        rows = np.zeros(2 * max_ticks, TRACE_DTYPE)  # np.empty: 10x slower with objects
+        pairs = {name: rows[name].reshape(max_ticks, 2) for name in TRACE_DTYPE.names}
+        pairs["tick"][:], pairs["finger"][:, 1], rows["event"] = np.arange(max_ticks)[:, None], 1, ""
+        pairs["phase"][:idle], pairs["contact_force_n"][:idle] = Phase.IDLE.value, force
+        if start > idle:  # replayed past the window: the earlier trace up to start
+            head = after.rows[: 2 * start]
+            rows[: len(head)] = head
+
         while start < max_ticks:
             # the checkpoint; the front end's history is a view of the last hold's whole block
-            top = (start, hold_tick, _copy_state(state), len(events), len(runs), len(labels),
+            top = (start, hold_tick, _copy_state(state), len(events),
                    front._history.copy(), [s.env.rng.bit_generator.state for s in self.sensors])
             if state.phase is Phase.IDLE:  # the first tick after the window
                 state.phase = Phase.CLOSING
@@ -409,30 +411,28 @@ class GraspSimulation:
             checkpoints.append((*top, (float(force).hex(), end)))
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
-            signal_parts.append(signals.ravel())
-            force_runs.append((force, end - start + 1))
+            pairs["signal"][start : end + 1], pairs["contact_force_n"][start : end + 1] = signals, force
 
-            tick = start
+            first = tick = start  # from first on, phase and motors are as they are now
             while True:
                 if state.phase is Phase.HOLDING:  # the next tick the controller can act on
                     act = max_ticks if single else hold_tick + hold_ticks
                 else:
                     act = -(-tick // gate) * gate
-                n = min(act, end + 1) - tick  # ticks that leave phase and motors as they are
-                runs.append((state.phase.value, *state.motor_deg.tolist(), n))
+                held = slice(first, min(act, end + 1))  # up to the next action, they hold
+                pairs["phase"][held], pairs["motor_deg"][held] = state.phase.value, state.motor_deg
                 if state.phase is Phase.HOLDING and not single:
-                    state.hold_elapsed_s = elapsed[tick + n - 1 - hold_tick]
+                    state.hold_elapsed_s = elapsed[held.stop - 1 - hold_tick]
                 if act > end:
                     break
-                state.tick = act
+                state.tick = first = act
                 _, tick_events = controller_step(state, self.policy, signals[act - start], self.geometry,
                                                  self.dt_s, step_gate=(act % gate == 0))
-                runs.append((state.phase.value, *state.motor_deg.tolist(), 1))
                 if tick_events:
                     events += [(act, name) for name in tick_events]
-                    labels.append((act, [
+                    pairs["event"][act] = [
                         ";".join(e for e in tick_events if e.endswith(f) or not e[-1].isdigit())
-                        for f in "01"]))
+                        for f in "01"]
                     if "hold_start" in tick_events:
                         hold_tick = act
                 tick = act + 1
@@ -443,9 +443,11 @@ class GraspSimulation:
             if state.phase is Phase.DONE or (single and hold_tick is not None and end - hold_tick >= rate):
                 break
             start = end + 1
-        replay = (key, front, checkpoints, (runs, force_runs, labels),
-                  [s.env.rng.bit_generator.state for s in self.sensors])
-        return GraspTrace(_trace_rows(runs, signal_parts, force_runs, labels), events, state, replay)
+        # the ticks run (state.tick is the last) in rows of their own: a view would keep all
+        # of rows alive, and ndarray.copy goes record by record over object fields, 10x slower
+        trace = GraspTrace(np.concatenate([rows[: 2 * (state.tick + 1)]]).view(np.recarray), events, state)
+        trace.replay = (key, front, checkpoints, [s.env.rng.bit_generator.state for s in self.sensors])
+        return trace
 
     def _first_change(self, checkpoints, hold_ticks, max_ticks) -> int:
         """Index of the first of another run's ``checkpoints`` where this run's
@@ -459,10 +461,6 @@ class GraspSimulation:
             if (float(force).hex(), end) != segment:
                 return k
         return len(checkpoints)
-
-    def _set_rng_states(self, states) -> None:
-        for sensor, rng_state in zip(self.sensors, states):
-            sensor.env.rng.bit_generator.state = rng_state
 
     def _segment_end(self, state, start, force, hold_tick, hold_ticks, max_ticks) -> int:
         """Last tick of the segment from ``start``: the force holds through it
@@ -503,22 +501,6 @@ class GraspSimulation:
                 f"contact force {force:.2f} N exceeds crush limit {crush:.2f} N"
             )
         return force
-
-
-def _trace_rows(runs, signal_parts, force_runs, labels) -> np.recarray:
-    """``GraspSimulation.run``'s columns as one record array of ``TRACE_DTYPE``, two rows a tick."""
-    phase, motor0, motor1, ticks = zip(*runs)
-    forces, force_ticks = zip(*force_runs)
-    rows = np.zeros(2 * sum(ticks), TRACE_DTYPE).view(np.recarray)  # np.empty: 10x slower with objects
-    rows.tick, rows.finger = np.divmod(np.arange(len(rows)), 2)
-    rows.phase = np.repeat(np.array(phase, dtype=object), 2 * np.array(ticks))
-    rows.motor_deg = np.repeat(np.column_stack([motor0, motor1]), ticks, axis=0).ravel()
-    rows.signal = np.concatenate(signal_parts)
-    rows.contact_force_n = np.repeat(forces, 2 * np.array(force_ticks))
-    rows.event = ""
-    for tick, pair in labels:
-        rows.event[2 * tick : 2 * tick + 2] = pair
-    return rows
 
 
 class LinearityResult(Record):

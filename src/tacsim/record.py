@@ -7,7 +7,7 @@ default is made anew for each instance.  ``__init__`` takes the fields by
 position or keyword, then calls ``__post_init__`` if the class has one.
 Records are equal when they are of the same class and their fields are
 equal.  ``class C(Record, frozen=True)`` makes C's fields read-only and its
-instances hashable by value; ``hidden`` names fields that ``repr`` leaves out.
+instances hashable by value.
 """
 
 from operator import attrgetter
@@ -27,11 +27,10 @@ def _refuse(self, name, value=None):
 class Record:
     _fields = ()
 
-    def __init_subclass__(cls, frozen=False, hidden=(), **kwargs):
+    def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = (*cls._fields, *cls.__annotations__)
         cls._names = frozenset(fields)
-        cls._shown = tuple(name for name in fields if name not in hidden)
         # the field values as one tuple (attrgetter gives a bare value for one name)
         values = (attrgetter(*fields) if len(fields) > 1
                   else lambda obj: tuple(getattr(obj, name) for name in fields))
@@ -73,7 +72,7 @@ class Record:
         return self._values(self) == self._values(other)
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

@@ -219,6 +219,9 @@ BAD_VALUES = [
     ("disturbance", "environment.earth_field_ut=1,2"),
     ("characterize", "characterize.tail_frames=0"),
     ("characterize", "characterize.dwell_frames=0"),
+    # a tail longer than its dwell was cut to the dwell, with no word
+    ("characterize", "characterize.tail_frames=1000"),
+    ("disturbance", "disturbance.tail_frames=1000"),
     ("characterize", "characterize.force_step_n=0"),
     ("snr-sweep", "snr.dy_step_mm=0"),
     ("characterize", "characterize.locations=1,2,3"),

@@ -661,6 +661,19 @@ def test_the_same_object_replayed_is_a_copy(six_mm, two_fingers, monkeypatch):
     assert six_mm.state.halted.all()
 
 
+def test_a_trace_that_stops_early_keeps_only_its_own_rows(six_mm, two_fingers, monkeypatch):
+    # the loop writes a buffer of 2 * max_ticks rows; a view of it would keep all of them alive
+    egg = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4)).run(2500)
+    two_mm = replayed(two_fingers, monkeypatch, six_mm, Tweezers(object_size_mm=2.0))[1]
+    copy = replayed(two_fingers, monkeypatch, six_mm, TWEEZERS)[1]
+    for trace in (egg, six_mm, two_mm, copy):
+        owner = trace.rows
+        while owner.base is not None:
+            owner = owner.base
+        assert len(trace.rows) < 2 * 2000
+        assert owner.nbytes == trace.rows.nbytes == len(trace.rows) * TRACE_DTYPE.itemsize
+
+
 def test_a_replay_of_a_replay_is_a_fresh_run(six_mm, two_fingers, monkeypatch):
     two_mm = replayed(two_fingers, monkeypatch, six_mm, Tweezers(object_size_mm=2.0))[1]
     sim, trace, fresh_sim, fresh, _, _ = replayed(
