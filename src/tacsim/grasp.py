@@ -256,6 +256,16 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def _grow(rows: np.ndarray, ticks: int) -> tuple[np.ndarray, dict]:
+    """``rows`` and after them blank rows up to ``ticks`` ticks, in a new buffer;
+    also its fields, each viewed as ``(ticks, 2)``: indexed by tick, then finger."""
+    blank = np.zeros(2 * ticks - len(rows), TRACE_DTYPE)  # np.empty: 10x slower with objects
+    blank["tick"], blank["finger"] = np.divmod(np.arange(len(rows), 2 * ticks), 2)
+    blank["event"] = ""
+    rows = np.concatenate([rows, blank])
+    return rows, {name: rows[name].reshape(ticks, 2) for name in TRACE_DTYPE.names}
+
+
 def _copy_state(state: GripperState) -> GripperState:
     # controller_step sets halted in place, and a signal may be a view of a segment's array
     return replace(state, motor_deg=state.motor_deg.copy(), signal=state.signal.copy(),
@@ -307,9 +317,10 @@ class GraspSimulation:
     * In a segment ``controller_step`` runs only where it can act: on the
       gates while closing or releasing, and on the hysteresis release tick.
       Phase and motors hold in between, so those ticks are one slice of the
-      trace.  The trace is one ``TRACE_DTYPE`` buffer of ``max_ticks`` ticks,
-      written as the loop reaches each run, segment and event; the rows
-      returned are a copy of the ticks run.
+      trace.  The trace is one ``TRACE_DTYPE`` buffer, written as the loop
+      reaches each run, segment and event.  A segment past its end doubles
+      it, or more, up to ``max_ticks``, so it grows with the ticks run, not
+      with ``max_ticks``.  The rows returned are a copy of the ticks run.
     * No segment passes ``max_ticks``, nor, while closing, the first tick
       the loop could stop or release at if a hold started at the next gate,
       so no frame past the last tick is drawn.
@@ -380,8 +391,9 @@ class GraspSimulation:
             state, checkpoints, events = _copy_state(state), past[:k], after.events[:n_events]
             for sensor, rng_state in zip(self.sensors, rng_states):
                 sensor.env.rng.bit_generator.state = rng_state
-            front = copy.copy(front)
-            front.sensors, front._history = self.sensors, history
+            if k < len(past):  # else the loop below never runs, and front may be None
+                front = copy.copy(front)
+                front.sensors, front._history = self.sensors, history
         elif idle < self.stream.init_samples:  # then idle == max_ticks: the loop below never runs
             front = None
             for sensor in self.sensors:
@@ -390,14 +402,10 @@ class GraspSimulation:
             front = FrontEnd(self.sensors, self.stream, stimulus)
 
         # the trace, written as the loop reaches each tick: two rows a tick, finger 0 then
-        # finger 1, so each field viewed as (max_ticks, 2) is indexed by tick
-        rows = np.zeros(2 * max_ticks, TRACE_DTYPE)  # np.empty: 10x slower with objects
-        pairs = {name: rows[name].reshape(max_ticks, 2) for name in TRACE_DTYPE.names}
-        pairs["tick"][:], pairs["finger"][:, 1], rows["event"] = np.arange(max_ticks)[:, None], 1, ""
+        # finger 1; replayed past the window, it starts as the earlier trace up to start
+        head = after.rows[: 2 * start] if start > idle else np.zeros(0, TRACE_DTYPE)
+        rows, pairs = _grow(head, max(idle, len(head) // 2))
         pairs["phase"][:idle], pairs["contact_force_n"][:idle] = Phase.IDLE.value, force
-        if start > idle:  # replayed past the window: the earlier trace up to start
-            head = after.rows[: 2 * start]
-            rows[: len(head)] = head
 
         while start < max_ticks:
             # the checkpoint; the front end's history is a view of the last hold's whole block
@@ -409,6 +417,8 @@ class GraspSimulation:
             force = self._contact_force(state)
             end = self._segment_end(state, start, force, hold_tick, hold_ticks, max_ticks)
             checkpoints.append((*top, (float(force).hex(), end)))
+            if end >= len(rows) // 2:  # past the buffer: double it, or more, up to max_ticks
+                rows, pairs = _grow(rows[: 2 * start], min(max(end + 1, len(rows)), max_ticks))
             stimulus = ContactStimulus(force_n=(0.0, 0.0, min(force, self.stop_force_n)))
             signals = grip_signal(front.hold([(stimulus, end - start + 1, None)]), self.policy.blend)
             pairs["signal"][start : end + 1], pairs["contact_force_n"][start : end + 1] = signals, force

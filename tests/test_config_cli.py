@@ -332,6 +332,15 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     assert "RankDeficientFit" in capsys.readouterr().err
 
 
+def test_a_sweep_that_never_leaves_the_init_window_is_exit_one(tmp_path, capsys):
+    # 100 ticks, all in the initialization window: each swept size replays the last
+    overrides = ["grasp.object=tweezers", "grasp.policy=hysteresis", "grasp.max_ticks=100"]
+    code = main(["grasp", "--out", str(tmp_path)] + [a for o in overrides for a in ("--set", o)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: GraspFailed: size " in err and "Traceback" not in err
+
+
 def test_disturbance_with_nothing_to_recover_is_exit_one(tmp_path, capsys):
     # noise off and no earth field: the measured disturbance is exactly 0
     overrides = [

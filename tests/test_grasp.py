@@ -662,7 +662,7 @@ def test_the_same_object_replayed_is_a_copy(six_mm, two_fingers, monkeypatch):
 
 
 def test_a_trace_that_stops_early_keeps_only_its_own_rows(six_mm, two_fingers, monkeypatch):
-    # the loop writes a buffer of 2 * max_ticks rows; a view of it would keep all of them alive
+    # the loop writes a buffer that may pass the last tick; a view of it would keep all of it alive
     egg = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4)).run(2500)
     two_mm = replayed(two_fingers, monkeypatch, six_mm, Tweezers(object_size_mm=2.0))[1]
     copy = replayed(two_fingers, monkeypatch, six_mm, TWEEZERS)[1]
@@ -672,6 +672,25 @@ def test_a_trace_that_stops_early_keeps_only_its_own_rows(six_mm, two_fingers, m
             owner = owner.base
         assert len(trace.rows) < 2 * 2000
         assert owner.nbytes == trace.rows.nbytes == len(trace.rows) * TRACE_DTYPE.itemsize
+
+
+def test_the_trace_buffer_grows_with_the_ticks_run_not_with_max_ticks(two_fingers, monkeypatch):
+    sizes, grow = [], grasp._grow
+    monkeypatch.setattr(grasp, "_grow", lambda rows, ticks: sizes.append(ticks) or grow(rows, ticks))
+    trace = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4)).run(100_000)
+    assert trace.event_tick("hold_start") is not None
+    assert max(sizes) <= len(trace.rows)  # at most twice the ticks run
+
+
+def test_a_run_within_the_init_window_replays_as_a_fresh_run(two_fingers, monkeypatch):
+    # max_ticks below init_samples: the earlier run has no front end and no checkpoints
+    base = GraspSimulation(TWEEZERS, HysteresisPolicy(), two_fingers("earth", 4)).run(100)
+    sim, trace, fresh_sim, fresh, held, drawn = replayed(
+        two_fingers, monkeypatch, base, Tweezers(object_size_mm=2.0), max_ticks=100)
+    assert_same_run(sim, trace, fresh_sim, fresh)
+    assert len(trace.rows) == 200 and (held, drawn) == (0, 0)
+    again = replayed(two_fingers, monkeypatch, trace, Tweezers(object_size_mm=3.0), max_ticks=100)
+    assert_same_run(*again[:4])
 
 
 def test_a_replay_of_a_replay_is_a_fresh_run(six_mm, two_fingers, monkeypatch):
