@@ -7,6 +7,8 @@ run with the same config and seed is byte-identical.
 """
 
 import csv
+import io
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,8 @@ from .estimation import (
     save_calibration,
 )
 from .grasp import (
+    EVENTS,
+    PHASES,
     TRACE_DTYPE,
     Egg,
     GraspSimulation,
@@ -50,6 +54,7 @@ from .pipeline import (
     FrontEnd,
     StreamConfig,
     _records,
+    _slots,
     _write_records_csv,
     # the binary codec's entry point stays bound here, where bench/tracer.py wraps
     # it; run_stream writes its checked records through the codec's private half
@@ -81,27 +86,76 @@ def _out_path(out_dir, name: str) -> Path:
     return out_dir / name
 
 
-def _cells(column) -> list:
-    """One column's cells: floats as their shortest round-trip repr, anything else as is."""
-    values = np.asarray(column)
-    if values.dtype.kind == "f":
-        return list(map(repr, values.astype(float).tolist()))
-    return values.tolist()
+CSV_CHUNK_ROWS = 512  # rows a study CSV is written in: no temporary of the whole table
+
+
+def _runs(values: np.ndarray, end: str, alone: bool):
+    """A column of one or more cells as ``(slots, index)``: the NUL-padded
+    UTF-8 text of each run of equal cells, followed by ``end``, and each
+    row's run.
+
+    Floats compare by their float64 bits, so -0.0 and 0.0 are apart, and read
+    as the shortest round-trip repr; integers read as decimals; anything else
+    as ``csv.writer`` writes it in a row of more than one field, or of one
+    (``alone``).
+    """
+    n, kind = len(values), values.dtype.kind
+    if kind == "f":
+        values = values.astype(float)
+    if kind in "fiu":
+        # each value's two 32-bit halves as floats, exactly: equal where the bits are.  Not
+        # the integer loops: a numpy loop met for the first time faults its code in, which
+        # shows in the open-loop studies' peak RSS, and these float ones they run already
+        bits = values if kind == "f" else values.astype(np.int64)  # contiguous, 8 bytes a value
+        halves = bits.view(np.uint32).astype(float).reshape(n, 2)
+        starts = (halves[1:] != halves[:-1]).any(axis=1)
+    else:
+        keys = values.tolist()
+        starts = np.fromiter(map(operator.ne, keys[1:], keys), bool, n - 1)
+    bounds = np.flatnonzero(np.concatenate([[True], starts, [True]]))  # each run's first row, and n
+    firsts = values[bounds[:-1]]
+    if kind in "fiu":
+        texts = [f"{v!r}{end}" for v in firsts.tolist()]  # ASCII, which _slots encodes
+    else:
+        texts = [f"{_quoted(v, alone)}{end}".encode() for v in firsts.tolist()]
+    slots = _slots(texts)
+    # each row's run: the number of the last run to start at or before it
+    index = np.zeros(n, np.intp)
+    index[bounds[1:-1]] = np.arange(1, len(slots))
+    return slots, np.maximum.accumulate(index, out=index)
+
+
+def _quoted(value, alone: bool) -> str:
+    """``value`` as ``csv.writer`` writes it as a field: in a row of one, or of more."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value] if alone else [value, ""])
+    return buf.getvalue()[: -2 if alone else -3]  # the row's "\r\n", and the empty field's ","
 
 
 def _write_csv(cfg: Config, study: str, path: Path, names, columns, notes=()) -> Path:
     """Write one study CSV: the stamp and ``notes`` as comment lines, then the table.
 
     ``columns`` holds the table's columns in the order of ``names``, each
-    of one kind of value.  A float column is written as the shortest
-    round-trip repr of each value (as float64); any other is written as is.
+    of one kind of value, as ``csv.writer`` would write their rows: a float
+    column as the shortest round-trip repr of each value (as float64), the
+    header and every row ended by ``\\r\\n``.  The file is UTF-8.  Each
+    column's runs of equal cells are formatted once, as NUL-padded slots
+    that ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at a time, written
+    with the NULs dropped; so no text may hold a NUL.
     """
-    with path.open("w", newline="") as fh:
-        for line in (_header(cfg, study), *notes):
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(names)
-        w.writerows(zip(*map(_cells, columns)))
+    head = io.StringIO()
+    for line in (_header(cfg, study), *notes):
+        head.write(f"# {line}\n")
+    csv.writer(head).writerow(names)
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    ends = [","] * (len(names) - 1) + ["\r\n"]
+    runs = [_runs(c, end, len(names) == 1) for c, end in zip(columns, ends)] if n else []
+    with path.open("wb") as fh:
+        fh.write(head.getvalue().encode())
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            rows = [slots.take(index[lo : lo + CSV_CHUNK_ROWS], axis=0) for slots, index in runs]
+            fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))
     return path
 
 
@@ -445,9 +499,12 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 
     out_files = []
     if out_dir is not None:
+        # the phase and event codes as their labels: object arrays, whose cells are the labels
+        rows, phases = trace.rows, np.array([phase.value for phase in PHASES], object)
         out_files.append(_write_csv(
-            cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"),
-            TRACE_DTYPE.names, [trace.rows[name] for name in TRACE_DTYPE.names],
+            cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"), TRACE_DTYPE.names,
+            [rows.tick, phases.take(rows.phase), rows.finger, rows.motor_deg, rows.signal,
+             rows.contact_force_n, np.array(EVENTS, object).take(rows.event)],
         ))
         if linearity is not None:
             fit = (f"slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from tacsim import grasp, pipeline
 from tacsim.errors import CrushDetected, GraspFailed, RankDeficientFit
 from tacsim.grasp import (
+    EVENTS,
+    PHASES,
     TRACE_DTYPE,
     Egg,
     GraspSimulation,
@@ -327,6 +332,48 @@ def test_increments_always_unit_sized(rng):
 
 
 # ---------------------------------------------------------------------------
+# the trace's phase and event codes
+# ---------------------------------------------------------------------------
+
+def emitted_events():
+    """The events of every tick on which ``controller_step`` emits any."""
+    ticks = []
+    # closing: each finger halted already, over the threshold, at its travel limit, or moving on
+    fingers = {"halted": (True, 0.0, 0.0), "over": (False, 800.0, 0.0),
+               "limit": (False, 0.0, GEO.max_travel_deg), "moving": (False, 0.0, 0.0)}
+    for (h0, g0, m0), (h1, g1, m1) in itertools.product(fingers.values(), repeat=2):
+        state = GripperState(phase=Phase.CLOSING, halted=np.array([h0, h1]), motor_deg=np.array([m0, m1]))
+        ticks.append(controller_step(state, SingleThreshold(700.0), [g0, g1], GEO, DT)[1])
+    state = GripperState(phase=Phase.HOLDING)
+    ticks.append(controller_step(state, HysteresisPolicy(hold_s=0.0), [950.0, 950.0], GEO, DT)[1])
+    ticks.append(controller_step(state, HysteresisPolicy(), [400.0, 450.0], GEO, DT)[1])
+    return [events for events in ticks if events]
+
+
+def test_trace_records_hold_no_python_object():
+    assert not TRACE_DTYPE.hasobject
+    assert np.zeros(3, TRACE_DTYPE)[["phase", "event"]].tolist() == [(PHASES.index(Phase.IDLE), 0)] * 3
+    assert EVENTS[0] == ""
+
+
+def test_every_label_a_finger_row_can_carry_round_trips_through_the_event_codes():
+    labels = set()
+    for events in emitted_events():
+        codes = grasp._event_codes(events)
+        for f, code in enumerate(codes):
+            # the per-tick oracle's label: the finger's own events and those of no finger
+            label = ";".join(e for e in events if e.endswith(str(f)) or not e[-1].isdigit())
+            assert EVENTS[code] == label
+            labels.add(label)
+    assert labels == set(EVENTS)  # and the tuple holds no label that no tick gives
+
+
+def test_a_label_missing_from_the_event_codes_raises():
+    with pytest.raises(ValueError):
+        grasp._event_codes(["halt_finger0", "squeeze_finger1"])
+
+
+# ---------------------------------------------------------------------------
 # closed-loop simulations
 # ---------------------------------------------------------------------------
 
@@ -447,8 +494,8 @@ def per_frame_run(sim, max_ticks):
         events += [(tick, name) for name in tick_events]
         for f in range(2):
             rows.append((
-                tick, state.phase.value, f, float(state.motor_deg[f]), float(signal[f]), force,
-                ";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit()),
+                tick, PHASES.index(state.phase), f, float(state.motor_deg[f]), float(signal[f]), force,
+                EVENTS.index(";".join(e for e in tick_events if e.endswith(str(f)) or not e[-1].isdigit())),
             ))
         if state.phase is Phase.DONE:
             break
@@ -680,6 +727,23 @@ def test_the_trace_buffer_grows_with_the_ticks_run_not_with_max_ticks(two_finger
     trace = GraspSimulation(EGG, SINGLE, two_fingers("earth", 4)).run(100_000)
     assert trace.event_tick("hold_start") is not None
     assert max(sizes) <= len(trace.rows)  # at most twice the ticks run
+
+
+@pytest.mark.parametrize("obj, policy", [(EGG, SINGLE), (TWEEZERS, QUICK_HOLD)], ids=["single", "hysteresis"])
+def test_a_run_allocates_with_the_ticks_run_not_with_max_ticks(obj, policy, two_fingers):
+    # the hysteresis hold's elapsed times go only as far as its release: max_ticks + 1 of
+    # them would hold 3.2 MB at 100,000 ticks
+    peaks = []
+    for max_ticks in (5000, 100_000):
+        sim = GraspSimulation(obj, policy, two_fingers("earth", 4), stream=StreamConfig(**SHORT_INIT))
+        tracemalloc.start()
+        try:
+            trace = sim.run(max_ticks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trace.event_tick("hold_start") is not None and len(trace.rows) < 2 * 5000
+    assert peaks[1] < peaks[0] + 100_000
 
 
 def test_a_run_within_the_init_window_replays_as_a_fresh_run(two_fingers, monkeypatch):

@@ -1,5 +1,5 @@
 """Study outputs end to end: golden digests, config keys that must matter, the
-study writer's bytes and the numpy modules the grasp studies load."""
+study writer's bytes and the numpy modules the studies load."""
 
 import csv
 import hashlib
@@ -17,6 +17,7 @@ import tacsim
 from tacsim import cli, experiments, pipeline
 from tacsim.config import load_config
 from tacsim.experiments import (
+    CSV_CHUNK_ROWS,
     _header,
     _write_csv,
     run_characterize,
@@ -186,6 +187,7 @@ def write_csv_oracle(cfg, study, path, names, rows, notes=()):
     return path
 
 
+N_LONG = 2 * CSV_CHUNK_ROWS + 77
 TABLES = {
     "signed-zeros": [[0.0, -0.0, np.float64(-0.0), np.float64(0.0)]],
     "tiny-huge-subnormal": [[1e-05, 1e16, 5e-324, -1.7976931348623157e308, 0.1]],
@@ -194,6 +196,16 @@ TABLES = {
     "ints": [[0, -7, 2**62, 3], np.array([1, 2, 3, 4], dtype=np.int64)],
     "text-int-float": [["L1", "a,b", 'q"uote', ""], [5, 6, 7, 8], [1.5, -0.0, 1e-05, 2.0]],
     "empty": [[], []],
+    "nan-inf": [[np.nan, np.inf, -np.inf, -np.nan, np.nan, 1.0], [1, 1, 2, 2, 2, 3]],
+    "one-text-column": [["", "", "a", ""]],
+    # runs that cross the write chunks' boundaries, and runs that end on them
+    "longer-than-two-chunks": [
+        np.where(np.arange(N_LONG) // 300 % 2, -0.0, 0.0),
+        (np.arange(N_LONG) >= CSV_CHUNK_ROWS).astype(float) - 0.5,
+        np.arange(N_LONG) // 7,
+        np.array(["held", "", "a,b"])[np.arange(N_LONG) // (CSV_CHUNK_ROWS - 1) % 3],
+        np.where(np.arange(N_LONG) % 2, 0.0, -0.0),
+    ],
 }
 
 
@@ -210,24 +222,26 @@ def test_study_writer_bytes_equal_the_per_cell_writer(columns, notes, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the grasp studies import nothing of numpy that import tacsim did not
+# the studies that write import nothing of numpy that import tacsim did not:
+# np.unique on floats, for one, imports numpy.ma (about 20 ms cold)
 # ---------------------------------------------------------------------------
 
-COLD_GRASPS = """
+COLD_STUDIES = """
 import sys, tempfile
 import tacsim
 loaded = {name for name in sys.modules if name.startswith("numpy.")}
 from tacsim import cli
+tweezers = ["--set", "grasp.object=tweezers", "--set", "grasp.policy=hysteresis"]
 with tempfile.TemporaryDirectory() as out:
-    for argv in (["grasp"], ["grasp", "--set", "grasp.object=tweezers", "--set", "grasp.policy=hysteresis"]):
-        assert cli.main(argv + ["--out", out]) == 0
+    for argv in (["characterize"], ["disturbance"], ["snr-sweep"], ["stream"], ["grasp"], ["grasp", *tweezers]):
+        assert cli.main(argv + ["--out", out]) == 0, argv
 print(" ".join(sorted({name for name in sys.modules if name.startswith("numpy.")} - loaded)))
 """
 
 
-def test_grasp_studies_load_no_numpy_module_beyond_import_tacsim():
+def test_writing_studies_load_no_numpy_module_beyond_import_tacsim():
     src = str(Path(tacsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", COLD_GRASPS], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", COLD_STUDIES], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
