@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, configuration problem or unwritable
 output, 1 runtime failure.
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -114,6 +115,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: cannot create directory {out}: {exc.strerror}", file=sys.stderr)
         return 2
+    gc.freeze()  # what the imports made outlives the study: no collection inside it walks those objects
     try:
         result = COMMANDS[command](cfg, out)
     except TacsimError as exc:
@@ -122,6 +124,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: cannot write {exc.filename or out}: {exc.strerror}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
     for path in getattr(result, "out_files", []):
         print(f"wrote {path}")
     return 0

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import NoContact, RankDeficientFit
+from .pipeline import write_sections
 from .record import Record
 from .sensor import TAXEL_X_MM, TAXEL_Y_MM
 
@@ -207,28 +208,13 @@ def fit_calibration(sweeps, blend: float | None = None) -> CalibrationParams:
 # ---------------------------------------------------------------------------
 
 def save_calibration(params: CalibrationParams, path, metadata: dict | None = None):
-    lines = ["[calibration]"]
-    for axis, i in (("x", 0), ("y", 1), ("z", 2)):
-        lines.append(f"k_{axis} = {float(params.k[i])!r}")
-    for axis, i in (("x", 0), ("y", 1), ("z", 2)):
-        lines.append(f"b_{axis} = {float(params.b[i])!r}")
-    lines.append(f"blend = {float(params.blend)!r}")
-    lines.append(f"pitch_mm = {float(params.pitch_mm)!r}")
-    lines.append(f"scale_bz = {float(params.scale_bz)!r}")
-    lines.append(f"scale_sum = {float(params.scale_sum)!r}")
-    lines.append("")
-    lines.append("[diagnostics]")
-    if params.r2 is not None:
-        lines.append("r2 = " + ",".join(repr(float(v)) for v in params.r2))
-    if params.rmsd_curve is not None:
-        lines.append("rmsd_curve = " + ",".join(repr(float(v)) for v in params.rmsd_curve))
+    scalars = ("blend", "pitch_mm", "scale_bz", "scale_sum")
+    calibration = {f"{k}_{axis}": v for k in "kb" for axis, v in zip("xyz", getattr(params, k).tolist())}
+    calibration |= {name: float(getattr(params, name)) for name in scalars}
+    sections = {"calibration": calibration, "diagnostics": {"r2": params.r2, "rmsd_curve": params.rmsd_curve}}
     if metadata:
-        lines.append("")
-        lines.append("[meta]")
-        for key, value in sorted(metadata.items()):
-            lines.append(f"{key} = {value}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        sections["meta"] = dict(sorted(metadata.items()))
+    return write_sections(path, sections)
 
 
 def load_calibration(path) -> CalibrationParams:

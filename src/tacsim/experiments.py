@@ -6,9 +6,6 @@ config hash and seed, and contain nothing non-deterministic, so a repeated
 run with the same config and seed is byte-identical.
 """
 
-import csv
-import io
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +51,12 @@ from .pipeline import (
     FrontEnd,
     StreamConfig,
     _records,
-    _slots,
     _write_records_csv,
     # the binary codec's entry point stays bound here, where bench/tracer.py wraps
     # it; run_stream writes its checked records through the codec's private half
     encode_frames,  # noqa: F401
+    write_sections,
+    write_table,
 )
 from .record import Record, replace
 from .rotations import rot_x, rot_y
@@ -69,10 +67,6 @@ from .sensor import (
     TactileSensor,
     pressure_centroid,
 )
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _header(cfg: Config, name: str) -> str:
@@ -86,84 +80,9 @@ def _out_path(out_dir, name: str) -> Path:
     return out_dir / name
 
 
-CSV_CHUNK_ROWS = 512  # rows a study CSV is written in: no temporary of the whole table
-
-
-def _runs(values: np.ndarray, end: str, alone: bool):
-    """A column of one or more cells as ``(slots, index)``: the NUL-padded
-    UTF-8 text of each run of equal cells, followed by ``end``, and each
-    row's run.
-
-    Floats compare by their float64 bits, so -0.0 and 0.0 are apart, and read
-    as the shortest round-trip repr; integers read as decimals; anything else
-    as ``csv.writer`` writes it in a row of more than one field, or of one
-    (``alone``).
-    """
-    n, kind = len(values), values.dtype.kind
-    if kind == "f":
-        values = values.astype(float)
-    if kind in "fiu":
-        # each value's two 32-bit halves as floats, exactly: equal where the bits are.  Not
-        # the integer loops: a numpy loop met for the first time faults its code in, which
-        # shows in the open-loop studies' peak RSS, and these float ones they run already
-        bits = values if kind == "f" else values.astype(np.int64)  # contiguous, 8 bytes a value
-        halves = bits.view(np.uint32).astype(float).reshape(n, 2)
-        starts = (halves[1:] != halves[:-1]).any(axis=1)
-    else:
-        keys = values.tolist()
-        starts = np.fromiter(map(operator.ne, keys[1:], keys), bool, n - 1)
-    bounds = np.flatnonzero(np.concatenate([[True], starts, [True]]))  # each run's first row, and n
-    firsts = values[bounds[:-1]]
-    if kind in "fiu":
-        texts = [f"{v!r}{end}" for v in firsts.tolist()]  # ASCII, which _slots encodes
-    else:
-        texts = [f"{_quoted(v, alone)}{end}".encode() for v in firsts.tolist()]
-    slots = _slots(texts)
-    # each row's run: the number of the last run to start at or before it
-    index = np.zeros(n, np.intp)
-    index[bounds[1:-1]] = np.arange(1, len(slots))
-    return slots, np.maximum.accumulate(index, out=index)
-
-
-def _quoted(value, alone: bool) -> str:
-    """``value`` as ``csv.writer`` writes it as a field: in a row of one, or of more."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value] if alone else [value, ""])
-    return buf.getvalue()[: -2 if alone else -3]  # the row's "\r\n", and the empty field's ","
-
-
-def _write_csv(cfg: Config, study: str, path: Path, names, columns, notes=()) -> Path:
-    """Write one study CSV: the stamp and ``notes`` as comment lines, then the table.
-
-    ``columns`` holds the table's columns in the order of ``names``, each
-    of one kind of value, as ``csv.writer`` would write their rows: a float
-    column as the shortest round-trip repr of each value (as float64), the
-    header and every row ended by ``\\r\\n``.  The file is UTF-8.  Each
-    column's runs of equal cells are formatted once, as NUL-padded slots
-    that ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at a time, written
-    with the NULs dropped; so no text may hold a NUL.
-    """
-    head = io.StringIO()
-    for line in (_header(cfg, study), *notes):
-        head.write(f"# {line}\n")
-    csv.writer(head).writerow(names)
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
-    ends = [","] * (len(names) - 1) + ["\r\n"]
-    runs = [_runs(c, end, len(names) == 1) for c, end in zip(columns, ends)] if n else []
-    with path.open("wb") as fh:
-        fh.write(head.getvalue().encode())
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            rows = [slots.take(index[lo : lo + CSV_CHUNK_ROWS], axis=0) for slots, index in runs]
-            fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))
-    return path
-
-
 def _write_calibration(cfg: Config, params: CalibrationParams, out_dir, source: str) -> Path:
-    path = _out_path(out_dir, "calibration.txt")
     meta = {"config_sha256": cfg.hash(), "seed": cfg.get("environment", "seed"), "source": source}
-    save_calibration(params, path, metadata=meta)
-    return path
+    return save_calibration(params, _out_path(out_dir, "calibration.txt"), metadata=meta)
 
 
 def _sensors(cfg: Config, fingers: int | None = None) -> list[TactileSensor]:
@@ -290,19 +209,19 @@ def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
 
     out_files = []
     if out_dir is not None:
-        report = _write_csv(
-            cfg, "characterize", _out_path(out_dir, "characterize_report.csv"),
+        report = write_table(
+            _out_path(out_dir, "characterize_report.csv"), [_header(cfg, "characterize")],
             ["location", "n_samples", "location_rmse_mm", "force_rmse_n",
              "fx_rmse_n", "fy_rmse_n", "fz_rmse_n", "torque_rmse_nmm"],
-            zip(*([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
-                   *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics)),
+            map(list, zip(*([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
+                             *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics))),
         )
-        samples = _write_csv(
-            cfg, "characterize", _out_path(out_dir, "characterize_samples.csv"),
+        samples = write_table(
+            _out_path(out_dir, "characterize_samples.csv"), [_header(cfg, "characterize")],
             ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
              "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"],
-            zip(*([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
-                  for sweep in sweeps for s in sweep.samples)),
+            map(list, zip(*([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel,
+                             s.fa1_sum] for sweep in sweeps for s in sweep.samples))),
         )
         out_files = [report, samples, _write_calibration(cfg, params, out_dir, "characterize")]
     return CharacterizeResult(sweeps=sweeps, params=params, metrics=metrics, out_files=out_files)
@@ -387,30 +306,18 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     )
 
     if out_dir is not None:
-        path = _out_path(out_dir, "disturbance_report.txt")
-        true_field = np.array(cfg.get("environment", "earth_field_ut"))
-        lines = [
-            f"# {_header(cfg, 'disturbance')}",
-            "[earth_field]",
-            "estimate_ut = " + ",".join(_fmt(v) for v in b_e),
-            "configured_ut = " + ",".join(_fmt(v) for v in true_field),
-            f"fit_rank = {report.rank}",
-            f"fit_condition = {_fmt(report.condition)}",
-            f"fit_residual_rms_ut = {_fmt(report.residual_rms_ut)}",
-            f"n_observations = {report.n_observations}",
-            "",
-            "[snr]",
-            f"signal_ut = {_fmt(signal)}",
-            f"disturbance_pre_ut = {_fmt(d_pre)}",
-            f"disturbance_post_ut = {_fmt(d_post)}",
-            f"snr_pre = {_fmt(snr_pre)}",
-            f"snr_post = {_fmt(snr_post)}",
-            f"snr_reduction = {_fmt(result.reduction)}",
-            f"recovery_amplitude = {_fmt(result.recovery_amplitude)}",
-            f"recovery_snr = {_fmt(result.recovery_snr)}",
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        result.out_files.append(path)
+        result.out_files.append(write_sections(_out_path(out_dir, "disturbance_report.txt"), {
+            "earth_field": {
+                "estimate_ut": b_e, "configured_ut": cfg.get("environment", "earth_field_ut"),
+                "fit_rank": report.rank, "fit_condition": report.condition,
+                "fit_residual_rms_ut": report.residual_rms_ut, "n_observations": report.n_observations,
+            },
+            "snr": {
+                "signal_ut": signal, "disturbance_pre_ut": d_pre, "disturbance_post_ut": d_post,
+                "snr_pre": snr_pre, "snr_post": snr_post, "snr_reduction": result.reduction,
+                "recovery_amplitude": result.recovery_amplitude, "recovery_snr": result.recovery_snr,
+            },
+        }, comment=_header(cfg, "disturbance")))
     return result
 
 
@@ -424,8 +331,8 @@ def run_snr_sweep(cfg: Config, out_dir=None) -> SnrReport:
     report = adjacent_snr_sweep(dy_mm=dy, gap_mm=cfg.get("sensor", "gap_mm"))
     if out_dir is not None:
         m, n = report.snr.shape
-        report.out_files.append(_write_csv(
-            cfg, "snr-sweep", _out_path(out_dir, "snr_sweep.csv"),
+        report.out_files.append(write_table(
+            _out_path(out_dir, "snr_sweep.csv"), [_header(cfg, "snr-sweep")],
             ["magnet_id", "dy_mm", "s_ut", "d_ut", "snr"],
             [
                 np.repeat(report.magnet_ids, n), np.tile(report.dy_mm, m),
@@ -499,21 +406,17 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 
     out_files = []
     if out_dir is not None:
-        # the phase and event codes as their labels: object arrays, whose cells are the labels
-        rows, phases = trace.rows, np.array([phase.value for phase in PHASES], object)
-        out_files.append(_write_csv(
-            cfg, "grasp", _out_path(out_dir, "grasp_trace.csv"), TRACE_DTYPE.names,
-            [rows.tick, phases.take(rows.phase), rows.finger, rows.motor_deg, rows.signal,
-             rows.contact_force_n, np.array(EVENTS, object).take(rows.event)],
+        rows = trace.rows  # its phase and event columns are codes into their labels, none quoted
+        out_files.append(write_table(
+            _out_path(out_dir, "grasp_trace.csv"), [_header(cfg, "grasp")], TRACE_DTYPE.names,
+            [rows.tick, ([phase.value for phase in PHASES], rows.phase[:, None]), rows.finger,
+             rows.motor_deg, rows.signal, rows.contact_force_n, (EVENTS, rows.event[:, None])],
         ))
         if linearity is not None:
-            fit = (f"slope={_fmt(linearity.slope)} intercept={_fmt(linearity.intercept)}"
-                   f" r2={_fmt(linearity.r2)}")
-            out_files.append(_write_csv(
-                cfg, "grasp", _out_path(out_dir, "grasp_linearity.csv"),
-                ["object_size_mm", "hold_gap_mm"],
-                [linearity.sizes_mm, linearity.hold_gap_mm],
-                notes=[fit],
+            fit = " ".join(f"{k}={float(getattr(linearity, k))!r}" for k in ("slope", "intercept", "r2"))
+            out_files.append(write_table(
+                _out_path(out_dir, "grasp_linearity.csv"), [_header(cfg, "grasp"), fit],
+                ["object_size_mm", "hold_gap_mm"], [linearity.sizes_mm, linearity.hold_gap_mm],
             ))
     return GraspResult(trace=trace, linearity=linearity, out_files=out_files)
 
@@ -547,11 +450,9 @@ def run_stream(cfg: Config, out_dir=None) -> StreamResult:
 
     out_files = []
     if out_dir is not None:
-        path = _out_path(out_dir, "stream.csv")
-        _write_records_csv(frames, path, _header(cfg, "stream"))
-        out_files.append(path)
+        out_files.append(_write_records_csv(frames, _out_path(out_dir, "stream.csv"), _header(cfg, "stream")))
         if cfg.get("stream", "binary"):
-            bpath = path.with_name("stream.bin")
+            bpath = _out_path(out_dir, "stream.bin")
             bpath.write_bytes(frames.tobytes())  # encode_frames of checked records
             out_files.append(bpath)
     return StreamResult(frames=frames, out_files=out_files)

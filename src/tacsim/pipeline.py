@@ -1,4 +1,4 @@
-"""Frame types, baseline removal, smoothing, and the frame codec.
+"""Frame types, baseline removal, smoothing, the frame codec and the output writers.
 
 The processing order is fixed: subtract the stored baseline first, then
 smooth with the causal moving average.  Baselines come from the tail of the
@@ -11,10 +11,14 @@ takes a whole schedule of held stimuli as one array block.
 
 ``FRAME_DTYPE`` is the one raw frame record: ``stream`` fills an array of
 them, the binary codec is their bytes, the CSV log a row per record.  Every
-codec, writer or reader, runs the same ``MalformedRecord`` check.
+codec, writer or reader, runs the same ``MalformedRecord`` check.  The CSV
+log and every study table go through ``write_table``, and the ``key = value``
+reports through ``write_sections``.
 """
 
 import csv
+import io
+import operator
 import warnings
 from collections import deque
 from pathlib import Path
@@ -323,54 +327,152 @@ def decode_frames(buf: bytes) -> np.recarray:
     return _as_records(np.frombuffer(buf, FRAME_DTYPE))
 
 
-def _slots(texts) -> np.ndarray:
-    """Texts (or integers, as decimal texts) as the NUL-padded rows of a ``(len, width)`` byte array."""
-    texts = np.asarray(texts, "S")
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+CSV_CHUNK_ROWS = 512  # rows a CSV table is written in: no temporary of the whole table
 
 
-def write_frames_csv(frames, path, header_comment: str | None = None) -> None:
-    """Write the records of ``frames`` as a CSV log that ``read_frames_csv`` reads back bit for bit.
+def _quoted(value, alone: bool) -> str:
+    """``value`` as ``csv.writer`` writes it as a field: in a row of one, or of more."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value] if alone else [value, ""])
+    return buf.getvalue()[: -2 if alone else -3]  # the row's "\r\n", and the empty field's ","
 
-    An optional ``# comment`` line ends in ``\\n``; the header and every row
-    end in ``\\r\\n``, as ``csv.writer`` writes them.  The rows are one
-    ``(n, W)`` byte array of NUL-padded slots, each a field's text and its
-    comma, gathered from tables of the 1,024 count texts and of the texts of
-    the distinct flux bit patterns; it is written with the NULs dropped.
-    The file is UTF-8.  MalformedRecord, before the file is opened, for a
-    record the reader would refuse or a comment of more than one line or
-    that UTF-8 cannot encode.
+
+def _coded(values: np.ndarray, alone: bool):
+    """A column of cells as ``(texts, index)``: the texts it is read from, and
+    each row's text as an ``(n, 1)`` array.
+
+    Each run of equal cells is formatted once.  Floats compare by their
+    float64 bits, so -0.0 and 0.0 are apart, and read as the shortest
+    round-trip repr; integers read as decimals, from a table of their value
+    range where that is narrower than their run count; anything else reads
+    as ``csv.writer`` writes it in a row of more than one field, or of one
+    (``alone``).
     """
-    _write_records_csv(_as_records(frames), path, header_comment)
+    n, kind = len(values), values.dtype.kind
+    if not n:
+        return [], np.zeros((0, 1), np.intp)
+    if kind in "fiu":
+        # each value's two 32-bit halves as floats, exactly: equal where the bits are.  Not
+        # the integer loops: a numpy loop met for the first time faults its code in, which
+        # shows in the open-loop studies' peak RSS, and these float ones they run already
+        bits = values.astype(float if kind == "f" else np.int64)  # contiguous, 8 bytes a value
+        halves = bits.view(np.uint32).astype(float).reshape(n, 2)
+        starts = (halves[1:] != halves[:-1]).any(axis=1)
+    else:
+        keys = values.tolist()
+        starts = np.fromiter(map(operator.ne, keys[1:], keys), bool, n - 1)
+    bounds = np.flatnonzero(np.concatenate([[True], starts, [True]]))  # each run's first row, and n
+    firsts = values[bounds[:-1]].tolist()
+    # each row's run: the number of the last run to start at or before it
+    index = np.zeros(n, np.intp)
+    index[bounds[1:-1]] = np.arange(1, len(firsts))
+    index = np.maximum.accumulate(index, out=index)[:, None]
+    if kind in "iu":
+        lo, hi = min(firsts), max(firsts)  # Python integers: no int64 loop, and no overflow
+        if hi - lo + 1 < len(firsts):
+            return [f"{v!r}" for v in range(lo, hi + 1)], np.array([v - lo for v in firsts]).take(index)
+    if kind in "fiu":
+        return [f"{v!r}" for v in firsts], index  # ASCII, which _slots encodes
+    return [_quoted(v, alone).encode() for v in firsts], index
 
 
-def _write_records_csv(records, path, header_comment: str | None) -> None:
-    """``write_frames_csv`` of records already checked."""
-    head = ""
-    if header_comment:
-        if "\n" in header_comment or "\r" in header_comment:
-            raise MalformedRecord("header comment must be one line")
-        head = f"# {header_comment}\n"
+def _slots(texts, end: bytes) -> np.ndarray:
+    """Texts (ASCII ``str`` or bytes) as the rows of a byte array: each text, NULs to pad, ``end``."""
+    texts = np.asarray(texts, "S")
+    ends = np.full((len(texts), len(end)), np.frombuffer(end, np.uint8))
+    return np.concatenate([texts.view(np.uint8).reshape(len(texts), texts.itemsize), ends], axis=1)
+
+
+def write_table(path, comments, names, columns):
+    """Write a CSV table and return ``path``: each comment as a ``# `` line, the header ``names``, the rows.
+
+    ``columns`` holds the table's columns in the order of ``names``: each a
+    sequence (not a tuple) of cells of one kind, written as ``csv.writer``
+    writes them (a float as the shortest round-trip repr of its float64
+    value), or a block of ``c`` columns coded already, as a ``(texts,
+    index)`` tuple: the texts as written (ASCII ``str`` or UTF-8 bytes) and
+    an ``(n, c)`` integer array of each cell's text.  A comment line ends in
+    ``\\n``; the header and every row in ``\\r\\n``.  The file is UTF-8.  The
+    texts become NUL-padded slots that ``take`` gathers into rows,
+    ``CSV_CHUNK_ROWS`` at a time, written with the NULs dropped; so no text
+    may hold a NUL.  MalformedRecord, before the file is opened, for a
+    comment of more than one line or that UTF-8 cannot encode.
+    """
+    if any("\n" in line or "\r" in line for line in comments):
+        raise MalformedRecord("header comment must be one line")
+    head = io.StringIO()
+    head.writelines(f"# {line}\n" for line in comments)
+    csv.writer(head).writerow(names)
     try:
-        head = (head + ",".join(CSV_HEADER) + "\r\n").encode()
+        head = head.getvalue().encode()
     except UnicodeEncodeError as exc:
         raise MalformedRecord(f"header comment is not UTF-8 text: {exc.reason}") from None
+    parts, done = [], 0  # (slots, index) pairs to gather, and the columns they hold
+    for column in columns:
+        texts, index = column if isinstance(column, tuple) else _coded(np.asarray(column), len(names) == 1)
+        done += index.shape[1]
+        last = done == len(names)  # the table's last column ends the row
+        cut = index.shape[1] - last
+        if cut:
+            parts.append((_slots(texts, b","), index[:, :cut]))
+        if last:
+            parts.append((_slots(texts, b"\r\n"), index[:, cut:]))
+    n = len(parts[0][1]) if parts else 0
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            rows = [slots.take(index[lo : lo + CSV_CHUNK_ROWS], axis=0) for slots, index in parts]
+            rows = np.concatenate([r.reshape(len(r), -1) for r in rows], axis=1)
+            fh.write(rows.tobytes().translate(None, b"\0"))
+    return path
+
+
+def _field(value) -> str:
+    """A report value's text: a float's shortest round-trip repr, a sequence's values as such joined
+    by commas, anything else (an integer, a text) as ``str`` gives it."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def write_sections(path, sections: dict, comment: str | None = None):
+    """Write a ``key = value`` report: an optional ``# comment`` line, then each
+    section of ``sections`` (``{name: {key: value}}``) as a ``[name]`` line and
+    a line per key not None, a blank line between sections; UTF-8, ``\\n`` endings.
+    """
+    lines = [f"# {comment}"] if comment else []
+    for i, (name, keys) in enumerate(sections.items()):
+        lines += [""] * (i > 0) + [f"[{name}]"] + [f"{k} = {_field(v)}" for k, v in keys.items() if v is not None]
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    return path
+
+
+def write_frames_csv(frames, path, header_comment: str | None = None):
+    """Write the records of ``frames`` as a CSV log that ``read_frames_csv`` reads back bit for bit.
+
+    An optional ``# comment`` line, then a row per record, as ``write_table``
+    writes them.  The finger ids and the counts are read from one table of
+    the 1,024 count texts, the flux from the texts of its distinct float32
+    bit patterns, each the shortest positional text that reads back to it.
+    MalformedRecord, before the file is opened, for a record the reader
+    would refuse or a comment that ``write_table`` refuses.
+    """
+    return _write_records_csv(_as_records(frames), path, header_comment)
+
+
+def _write_records_csv(records, path, header_comment: str | None):
+    """``write_frames_csv`` of records already checked."""
     n = len(records)
     # format each distinct float32 bit pattern once; keying on values would
     # merge -0.0 into +0.0
     patterns, which = np.unique(records.sa2.view(np.uint32).ravel(), return_inverse=True)
-    flux = _slots([np.format_float_positional(v, unique=True, trim="0") + ","
-                   for v in patterns.view(np.float32)])
-    counts = _slots([f"{v}," for v in range(ADC_MAX + 1)])  # finger ids (0..255) index it too
-    comma, newline = (np.full((n, 1), ord(c), np.uint8) for c in ",\n")
-    body = np.concatenate([
-        _slots(records.timestamp_us), comma,
-        counts.take(records.finger_id, axis=0),
-        counts.take(records.fa1.reshape(n, 16), axis=0).reshape(n, 16 * counts.shape[1]),
-        flux.take(which.reshape(n, 3), axis=0).reshape(n, 3 * flux.shape[1]),
-        newline,  # the last flux comma and this make the row's \r\n
-    ], axis=1)
-    Path(path).write_bytes(head + body.tobytes().translate(None, b"\0").replace(b",\n", b"\r\n"))
+    flux = [np.format_float_positional(v, unique=True, trim="0") for v in patterns.view(np.float32)]
+    counts = np.column_stack([records.finger_id, records.fa1.reshape(n, 16)])
+    return write_table(path, [header_comment] if header_comment else [], CSV_HEADER, [
+        records.timestamp_us,
+        ([str(v) for v in range(ADC_MAX + 1)], counts),  # finger ids (0..255) index it too
+        (flux, which.reshape(n, 3)),
+    ])
 
 
 def read_frames_csv(path) -> np.recarray:

@@ -43,7 +43,7 @@ BONE_BEARING_FRACTION = 0.6
 DEFAULT_PROBE_RADIUS_MM = 5.3
 
 # distinct (location, probe radius) footprints kept by the footprint_weights
-# memo; a study meets at most ~10
+# memo; in one process the open-loop studies meet 5, the grasp studies 1
 FOOTPRINT_CACHE_SIZE = 256
 
 

@@ -375,3 +375,52 @@ def test_calibration_file_round_trip(tmp_path):
     assert back.scale_bz == params.scale_bz
     assert back.scale_sum == params.scale_sum
     np.testing.assert_array_equal(back.r2, params.r2)
+
+
+def save_calibration_oracle(params, path, metadata=None):
+    """``save_calibration`` as it built its lines one by one: the byte-level reference."""
+    lines = ["[calibration]"]
+    for axis, i in (("x", 0), ("y", 1), ("z", 2)):
+        lines.append(f"k_{axis} = {float(params.k[i])!r}")
+    for axis, i in (("x", 0), ("y", 1), ("z", 2)):
+        lines.append(f"b_{axis} = {float(params.b[i])!r}")
+    lines.append(f"blend = {float(params.blend)!r}")
+    lines.append(f"pitch_mm = {float(params.pitch_mm)!r}")
+    lines.append(f"scale_bz = {float(params.scale_bz)!r}")
+    lines.append(f"scale_sum = {float(params.scale_sum)!r}")
+    lines.append("")
+    lines.append("[diagnostics]")
+    if params.r2 is not None:
+        lines.append("r2 = " + ",".join(repr(float(v)) for v in params.r2))
+    if params.rmsd_curve is not None:
+        lines.append("rmsd_curve = " + ",".join(repr(float(v)) for v in params.rmsd_curve))
+    if metadata:
+        lines.append("")
+        lines.append("[meta]")
+        for key, value in sorted(metadata.items()):
+            lines.append(f"{key} = {value}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+FITTED = fit_calibration([linear_sweep(3e-3, 1e-3, 2e-3, -1e-3, 3e-4, 0.02)], blend=0.0)
+CALIBRATIONS = {
+    "fitted": FITTED,
+    "no-diagnostics": CalibrationParams(k=FITTED.k, b=FITTED.b, blend=FITTED.blend),
+    "r2-only": CalibrationParams(k=(1, -0.0, 1e-300), b=(0, 2.5, -1), r2=FITTED.r2),
+    "rmsd-curve-only": CalibrationParams(blend=1, pitch_mm=3, scale_bz=2, scale_sum=np.float32(0.1),
+                                         rmsd_curve=[1, 0.5, np.float32(0.25)]),
+}
+METADATA = {
+    "none": None,
+    "empty": {},
+    "study": {"source": "characterize", "seed": 20260814, "config_sha256": "0123456789abcdef"},
+}
+
+
+@pytest.mark.parametrize("metadata", METADATA.values(), ids=METADATA.keys())
+@pytest.mark.parametrize("params", CALIBRATIONS.values(), ids=CALIBRATIONS.keys())
+def test_calibration_file_bytes_equal_the_line_by_line_writer(params, metadata, tmp_path):
+    save_calibration(params, tmp_path / "sections.txt", metadata=metadata)
+    save_calibration_oracle(params, tmp_path / "lines.txt", metadata=metadata)
+    assert (tmp_path / "sections.txt").read_bytes() == (tmp_path / "lines.txt").read_bytes()

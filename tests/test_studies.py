@@ -17,14 +17,13 @@ import tacsim
 from tacsim import cli, experiments, pipeline
 from tacsim.config import load_config
 from tacsim.experiments import (
-    CSV_CHUNK_ROWS,
     _header,
-    _write_csv,
     run_characterize,
     run_disturbance,
     run_grasp,
     run_stream,
 )
+from tacsim.pipeline import CSV_CHUNK_ROWS, write_table
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -206,6 +205,19 @@ TABLES = {
         np.array(["held", "", "a,b"])[np.arange(N_LONG) // (CSV_CHUNK_ROWS - 1) % 3],
         np.where(np.arange(N_LONG) % 2, 0.0, -0.0),
     ],
+    # integer columns read from a table of their value range, and from their runs
+    "int-ranges-longer-than-two-chunks": [
+        np.arange(N_LONG) % 2,  # the grasp trace's finger column
+        np.arange(N_LONG) // 2,  # its tick column: as many values as runs
+        np.arange(N_LONG) % 7 - 3,  # from negative to positive
+        (np.arange(N_LONG) // 3 % 2 * 2**40).astype(np.uint64),
+    ],
+    "int-range-one-narrower-than-its-runs": [[5, 7, 6, 5], np.array([-1, 1, 0, -1], np.int8)],
+    "int-range-as-wide-as-its-runs": [[5, 7, 6], np.array([-1, 1, 0], np.int8)],
+    "int64-extremes": [
+        np.array([-(2**63), 2**63 - 1, -(2**63), 0, 2**63 - 1], np.int64),
+        np.array([0, 2**64 - 1, 0, 2**63, 2**64 - 1], np.uint64),
+    ],
 }
 
 
@@ -216,9 +228,27 @@ def test_study_writer_bytes_equal_the_per_cell_writer(columns, notes, tmp_path):
     cfg = load_config()
     names = [f"c{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
-    got = _write_csv(cfg, "probe", tmp_path / "columns.csv", names, columns, notes)
+    got = write_table(tmp_path / "columns.csv", [_header(cfg, "probe"), *notes], names, columns)
     want = write_csv_oracle(cfg, "probe", tmp_path / "cells.csv", names, rows, notes)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "values, texts",
+    [
+        ([0, 1, 0, 1], ["0", "1"]),
+        ([5, 7, 6, 5], ["5", "6", "7"]),  # a range one narrower than its runs
+        ([5, 7, 6], ["5", "7", "6"]),  # as wide as its runs: read from the runs
+        ([-2, 3, -2, 3, -2, 3, -2], ["-2", "-1", "0", "1", "2", "3"]),
+        ([-(2**63), 2**63 - 1, -(2**63)], [str(-(2**63)), str(2**63 - 1), str(-(2**63))]),
+        ([7, 7, 7], ["7"]),
+    ],
+    ids=["alternating", "one-narrower", "as-wide", "negative-to-positive", "int64-extremes", "one-run"],
+)
+def test_an_integer_column_reads_from_its_range_only_where_that_is_narrower_than_its_runs(values, texts):
+    got, index = pipeline._coded(np.array(values), alone=False)
+    assert got == texts
+    assert [got[i] for i in index[:, 0]] == [str(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
