@@ -19,6 +19,7 @@ reports through ``write_sections``.
 import csv
 import io
 import operator
+import re
 import warnings
 from collections import deque
 from pathlib import Path
@@ -475,37 +476,68 @@ def _write_records_csv(records, path, header_comment: str | None):
     ])
 
 
-def read_frames_csv(path) -> np.recarray:
-    """The records of a CSV log, parsed in one ``np.loadtxt`` pass; MalformedRecord if any is bad.
+CSV_READ_CHUNK = 1 << 16  # characters of whole lines the CSV reader parses at a time: no parse of the whole log
 
-    Only lines that start with ``#`` are comments; a ``#`` elsewhere, a
-    blank row or a quoted field is a bad row.
+
+def _parse_rows(lines) -> np.ndarray:
+    """CSV rows as ``_CSV_ROW``s, blank lines skipped; a ValueError or a warning, raised, for a bad row."""
+    with warnings.catch_warnings():
+        # a warning is a bad row too: numpy 1.x reads 3.5 into an integer column
+        # as 3 with only a DeprecationWarning, and only blank lines warn of no data
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, _CSV_ROW, comments=None, delimiter=",", ndmin=1)
+
+
+def _bad_row(body, numbers) -> MalformedRecord:
+    """The error for the first of the rows ``body``, at file lines ``numbers``, that is blank or bad alone."""
+    for number, line in zip(numbers, body):
+        if line == "\n":
+            return MalformedRecord(f"blank CSV row at line {number}")
+        try:
+            _parse_rows([line])
+        except (ValueError, Warning) as exc:  # loadtxt's own row number counts from this one line
+            return MalformedRecord(f"bad CSV row at line {number}: {re.sub(r' at row [0-9]+', '', str(exc))}")
+    return MalformedRecord(f"bad CSV rows at lines {numbers[0]}..{numbers[-1]}")
+
+
+def read_frames_csv(path) -> np.recarray:
+    """The records of a CSV log; MalformedRecord if any is bad.
+
+    The log is read ``CSV_READ_CHUNK`` characters of whole lines at a time,
+    and each chunk is parsed in one ``np.loadtxt`` pass and checked, so the
+    reader holds one chunk's text and rows beside the records.  Only lines
+    that start with ``#`` are comments, wherever they are; a ``#``
+    elsewhere, a blank row or a quoted field is a bad row, and the error
+    names its line in the file, counted from 1.
     """
+    parts, header, number = [], None, 1  # each chunk's records, the header line, the chunk's first line
     try:
         with Path(path).open(encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
+            for lines in iter(lambda: fh.readlines(CSV_READ_CHUNK), []):
+                body = [line for line in lines if not line.startswith("#")]
+                if header is None and body:
+                    header = body.pop(0)
+                    if next(csv.reader([header])) != CSV_HEADER:
+                        raise MalformedRecord("unexpected CSV header")
+                if body:
+                    try:
+                        rows = _parse_rows(body)
+                    except (ValueError, Warning):
+                        rows = ()
+                    if len(rows) != len(body):  # a bad row, or a blank one, which loadtxt skips
+                        numbers = [n for n, line in enumerate(lines, number) if not line.startswith("#")]
+                        raise _bad_row(body, numbers[-len(body):])
+                    ints = rows["ints"]
+                    with np.errstate(over="ignore"):  # past float32's range reads inf, refused as not finite
+                        flux = rows["flux"].astype(np.float32)
+                    parts.append(_records(ints[:, 0], ints[:, 1], ints[:, 2:], flux))
+                number += len(lines)
     except UnicodeDecodeError:
         try:  # the reader decodes chunk by chunk; a decode of the whole file gives the file's offset
             Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedRecord(f"CSV log is not UTF-8 at byte {exc.start}: {exc.reason}") from None
         raise
-    if not lines or next(csv.reader(lines[:1])) != CSV_HEADER:
+    if header is None:
         raise MalformedRecord("unexpected CSV header")
-    body = lines[1:]
-    rows = np.zeros(0, _CSV_ROW)
-    if body:  # loadtxt warns on empty input
-        try:
-            with warnings.catch_warnings():
-                # a warning is a bad row too: numpy 1.x reads 3.5 into an integer column
-                # as 3 with only a DeprecationWarning, and only blank lines warn of no data
-                warnings.simplefilter("error")
-                rows = np.loadtxt(body, _CSV_ROW, comments=None, delimiter=",", ndmin=1)
-        except (ValueError, Warning) as exc:
-            raise MalformedRecord(f"bad CSV row: {exc}") from None
-        if len(rows) != len(body):  # loadtxt skips blank lines
-            raise MalformedRecord(f"{len(body) - len(rows)} blank CSV rows")
-    ints = rows["ints"]
-    with np.errstate(over="ignore"):  # past float32's range reads inf, refused as not finite
-        flux = rows["flux"].astype(np.float32)
-    return _records(ints[:, 0], ints[:, 1], ints[:, 2:], flux)
+    return (np.concatenate(parts) if parts else np.zeros(0, FRAME_DTYPE)).view(np.recarray)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from tacsim.experiments import _header, _sensors, _stream_config, run_stream
 from tacsim.pipeline import (
     ADC_MAX,
     CSV_HEADER,
+    CSV_READ_CHUNK,
     FA1_SHAPE,
     FRAME_DTYPE,
     RECORD_SIZE,
@@ -29,6 +31,7 @@ from tacsim.pipeline import (
     subtract_baseline,
     write_frames_csv,
 )
+from tacsim.pipeline import _CSV_ROW, _records
 from tacsim.rotations import rot_x, rot_y
 from tacsim.sensor import ContactStimulus, Environment, TactileSensor
 
@@ -632,6 +635,164 @@ def test_only_lines_starting_with_hash_are_comments(tmp_path, rng):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3] + ["# between rows"] + lines[3:] + ["#"]) + "\n")
     assert_same_frames(read_frames_csv(path), frames)
+
+
+def read_frames_csv_oracle(path):
+    """The CSV log parsed in one ``np.loadtxt`` pass over all its lines: the reader's reference verdict."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError:
+        raise MalformedRecord("not UTF-8") from None
+    if not lines or next(csv.reader(lines[:1])) != CSV_HEADER:
+        raise MalformedRecord("unexpected CSV header")
+    body = lines[1:]
+    rows = np.zeros(0, _CSV_ROW)
+    if body:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(body, _CSV_ROW, comments=None, delimiter=",", ndmin=1)
+        except (ValueError, Warning) as exc:
+            raise MalformedRecord(f"bad CSV row: {exc}") from None
+        if len(rows) != len(body):
+            raise MalformedRecord("blank CSV rows")
+    ints = rows["ints"]
+    with np.errstate(over="ignore"):
+        flux = rows["flux"].astype(np.float32)
+    return _records(ints[:, 0], ints[:, 1], ints[:, 2:], flux)
+
+
+def verdict(read, path):
+    """What ``read`` makes of the log at ``path``: its records' type, dtype and bytes, or MalformedRecord."""
+    try:
+        records = read(path)
+    except MalformedRecord:
+        return MalformedRecord
+    return type(records), records.dtype, records.tobytes()
+
+
+LONG_ROWS = 2_000  # about 210 KB of random rows: four read chunks
+
+
+def long_log(path, comment="long"):
+    """A CSV log of ``LONG_ROWS`` random records, longer than three read chunks; its records."""
+    rng = np.random.default_rng(25)
+    records = np.zeros(LONG_ROWS, FRAME_DTYPE)
+    records["timestamp_us"] = np.arange(1, LONG_ROWS + 1)
+    records["finger_id"] = rng.integers(0, 2, LONG_ROWS)
+    records["fa1"] = rng.integers(0, ADC_MAX + 1, (LONG_ROWS, 4, 4))
+    records["sa2"] = rng.normal(scale=800.0, size=(LONG_ROWS, 3))
+    write_frames_csv(records, path, comment)
+    assert path.stat().st_size > 3 * CSV_READ_CHUNK
+    return records
+
+
+def with_field(line, column, text):
+    fields = line.rstrip("\n").split(",")
+    return ",".join(fields[:column] + [text] + fields[column + 1:]) + "\n"
+
+
+LATER = 1_500  # a line of the long log past its first two read chunks
+COMMENTS = ["# " + "c" * 97 + "\n"] * 700  # 70,000 characters: more than a read chunk
+
+
+def set_lines(lines, at, new, drop=0):
+    lines[at : at + drop] = new
+
+
+@pytest.mark.parametrize(
+    "edit, accepted",
+    [
+        (lambda lines: set_lines(lines, LATER, ["# note\n"]), True),
+        (lambda lines: set_lines(lines, LATER, ["#\n"] * 3), True),
+        (lambda lines: set_lines(lines, len(lines), ["# last\n"]), True),
+        (lambda lines: set_lines(lines, 1, COMMENTS), True),
+        (lambda lines: set_lines(lines, 0, COMMENTS + ["# a chunk of them, then the header\n"]), True),
+        (lambda lines: set_lines(lines, len(lines) - 1, [lines[-1].rstrip("\n")], drop=1), True),
+        (lambda lines: set_lines(lines, LATER, ["\n"]), False),
+        (lambda lines: set_lines(lines, len(lines), ["\n"]), False),
+        (lambda lines: set_lines(lines, LATER, ["\n"] * 900), False),
+        (lambda lines: set_lines(lines, 1, COMMENTS + ["timestamp_us\n"], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [with_field(lines[LATER], 4, "3.5")], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [with_field(lines[LATER], 4, "1024")], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [with_field(lines[LATER], 19, "nan")], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [with_field(lines[LATER], 9, "# note")], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [lines[LATER].rsplit(",", 1)[0] + "\n"], drop=1), False),
+        (lambda lines: set_lines(lines, LATER, [" " + lines[LATER]], drop=1), True),  # loadtxt strips it
+        (lambda lines: set_lines(lines, 2, [], drop=len(lines)), True),
+        (lambda lines: set_lines(lines, 1, COMMENTS, drop=len(lines)), False),
+        (lambda lines: set_lines(lines, 0, [], drop=len(lines)), False),
+    ],
+    ids=["hash-line-in-a-later-chunk", "hash-lines-in-a-later-chunk", "hash-line-at-the-end",
+         "a-chunk-of-comments-before-the-header", "only-comments-in-the-first-chunk",
+         "no-newline-at-the-end", "blank-row-in-a-later-chunk", "blank-row-at-the-end",
+         "a-chunk-of-blank-rows", "wrong-header-after-a-chunk-of-comments", "non-integer-count-later",
+         "count-above-1023-later", "nan-flux-later", "hash-field-later", "short-row-later",
+         "leading-space-later", "header-only", "all-comments", "empty"],
+)
+def test_csv_log_read_in_chunks_gives_the_whole_file_verdict(tmp_path, edit, accepted):
+    path = tmp_path / "log.csv"
+    records = long_log(path)
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    got = verdict(read_frames_csv, path)
+    assert got == verdict(read_frames_csv_oracle, path)
+    assert (got != MalformedRecord) == accepted
+    if accepted and len(lines) > 2:
+        assert got[2] == records.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, LONG_ROWS], ids=["no-rows", "one-chunk", "many-chunks"])
+def test_csv_log_reads_as_records_of_the_frame_dtype(tmp_path, rows):
+    path = tmp_path / "log.csv"
+    records = long_log(path)[:rows]
+    write_frames_csv(records, path)
+    back = read_frames_csv(path)
+    assert isinstance(back, np.recarray) and back.dtype == FRAME_DTYPE
+    assert back.tobytes() == records.tobytes()
+    assert verdict(read_frames_csv, path) == verdict(read_frames_csv_oracle, path)
+
+
+@pytest.mark.parametrize("text, message", [("3.5", "bad CSV row at line {}: "), ("", "blank CSV row at line {}$")],
+                         ids=["non-integer-count", "blank-row"])
+def test_a_bad_csv_row_is_named_by_its_line_in_the_file(tmp_path, text, message):
+    # one comment line at the top and one in the middle; the bad row lies past the first read chunk
+    path = tmp_path / "log.csv"
+    long_log(path, comment="top")
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(LONG_ROWS // 2, "# middle\n")
+    lines[LATER] = with_field(lines[LATER], 4, text) if text else "\n"
+    path.write_text("".join(lines))
+    assert len("".join(lines[:LATER])) > CSV_READ_CHUNK
+    with pytest.raises(MalformedRecord, match=message.format(LATER + 1)):
+        read_frames_csv(path)
+    assert verdict(read_frames_csv_oracle, path) == MalformedRecord
+
+
+def test_csv_log_not_utf8_past_the_first_chunk_names_its_file_offset(tmp_path):
+    path = tmp_path / "log.csv"
+    long_log(path)
+    data = path.read_bytes()
+    offset = data.index(b"\r\n", 3 * CSV_READ_CHUNK) + 5
+    path.write_bytes(data[:offset] + b"\xe9" + data[offset:])
+    with pytest.raises(MalformedRecord, match=f"not UTF-8 at byte {offset}:"):
+        read_frames_csv(path)
+    assert verdict(read_frames_csv_oracle, path) == MalformedRecord
+
+
+def test_reading_a_stream_log_holds_under_three_times_its_records(tmp_path):
+    # the whole-file parse held every line as a str beside loadtxt's 168 bytes a row: 6.9x
+    run_stream(load_config(overrides=["stream.duration_s=40"]), tmp_path)
+    tracemalloc.start()
+    try:
+        records = read_frames_csv(tmp_path / "stream.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000
+    assert peak < 3 * records.nbytes
 
 
 FLUX = st.floats(width=32, allow_nan=False, allow_infinity=False)
