@@ -50,7 +50,6 @@ class RotationObservation(Record):
 
 class FieldFitReport(Record):
     rank: int
-    singular_values: np.ndarray
     condition: float
     residual_rms_ut: float
     n_observations: int
@@ -90,7 +89,6 @@ def estimate_earth_field(observations) -> tuple[np.ndarray, FieldFitReport]:
     resid = y - A @ solution
     report = FieldFitReport(
         rank=int(rank),
-        singular_values=svals,
         condition=float(svals[0] / svals[-1]),
         residual_rms_ut=float(np.sqrt(np.mean(resid**2))),
         n_observations=len(observations),

@@ -158,16 +158,17 @@ def _pool(sweeps):
     return force, db, sums, scale_bz, scale_sum
 
 
-def select_blend(sweeps, grid_step: float = BLEND_GRID_STEP):
+def select_blend(sweeps):
     """Grid search for the z-blend weight minimizing fit residual RMS.
 
-    Both channels are scale-normalised first so the grid is comparable.
-    Ties resolve to the smaller weight.  Returns (blend, grid, rmsd_curve).
+    The grid steps by ``BLEND_GRID_STEP`` over [0, 1]; both channels are
+    scale-normalised first so it is comparable.  Ties resolve to the smaller
+    weight.  Returns (blend, grid, rmsd_curve).
     """
     force, db, sums, scale_bz, scale_sum = _pool(sweeps)
     zb = db[:, 2] / scale_bz
     zr = sums / scale_sum
-    grid = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
+    grid = np.arange(0.0, 1.0 + BLEND_GRID_STEP / 2.0, BLEND_GRID_STEP)
     rmsd = np.empty(len(grid))
     for i, w in enumerate(grid):
         _, _, _, rms = _ols_line(w * zb + (1.0 - w) * zr, force[:, 2])

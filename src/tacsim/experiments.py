@@ -240,11 +240,6 @@ def run_calibrate(cfg: Config, out_dir=None):
 # ---------------------------------------------------------------------------
 
 class DisturbanceResult(Record):
-    earth_estimate_ut: np.ndarray
-    fit_report: object
-    signal_ut: float
-    d_pre_ut: float
-    d_post_ut: float
     snr_pre: float
     snr_post: float
     reduction: float
@@ -292,11 +287,6 @@ def run_disturbance(cfg: Config, out_dir=None) -> DisturbanceResult:
     if snr_pre == 1.0:  # d_pre is 0, or too small to register beside the signal
         raise InvalidSignal(f"no disturbance to recover: measured {d_pre!r} uT before cancelling")
     result = DisturbanceResult(
-        earth_estimate_ut=b_e,
-        fit_report=report,
-        signal_ut=signal,
-        d_pre_ut=d_pre,
-        d_post_ut=d_post,
         snr_pre=snr_pre,
         snr_post=snr_post,
         reduction=1.0 - snr_pre,

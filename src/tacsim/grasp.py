@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CrushDetected, GraspFailed, RankDeficientFit
+from .estimation import _ols_line
 from .pipeline import FrontEnd, StreamConfig
 from .record import Record, astuple, fresh, replace
 from .sensor import ContactStimulus, travel_stop_force_n
@@ -563,16 +564,5 @@ def tweezers_linearity_study(
         gaps.append(trace.separation_at(hold, geometry))
         del trace  # before the next grasp runs: a trace carries its checkpoints
     gaps = np.array(gaps)
-
-    A = np.column_stack([sizes, np.ones_like(sizes)])
-    coef, *_ = np.linalg.lstsq(A, gaps, rcond=None)
-    resid = gaps - A @ coef
-    ss_tot = float(((gaps - gaps.mean()) ** 2).sum())
-    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return LinearityResult(
-        sizes_mm=sizes,
-        hold_gap_mm=gaps,
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        r2=r2,
-    )
+    slope, intercept, r2, _ = _ols_line(sizes, gaps)
+    return LinearityResult(sizes_mm=sizes, hold_gap_mm=gaps, slope=slope, intercept=intercept, r2=r2)

@@ -1,18 +1,13 @@
-"""Magnetic field models for the marker magnet under the fingertip.
+"""Magnetic field model for the marker magnet under the fingertip.
 
-Two evaluators are provided:
-
-* ``dipole_flux`` -- ideal point dipole.  Exact far-field behaviour, used as
-  the reference model for moment calibration and for closed-form checks.
-* ``cylinder_flux`` -- a uniformly magnetised cylinder discretised into
-  sub-dipoles (equal-volume quadrature).  In the near field a finite magnet
-  is *not* a point dipole: signal per unit moment depends on the magnet's
-  shape.  This is what makes differently sized markers genuinely different
-  in the interference study; with a pure point-dipole model every marker
-  would have an identical signal-to-disturbance ratio by construction.
-
-Both evaluate the same two steps: ``_dipole_geometry`` (unit vectors and
-cubed distances, independent of the moment) and ``_dipole_sum``.
+``cylinder_flux`` is a uniformly magnetised cylinder discretised into
+sub-dipoles (equal-volume quadrature).  In the near field a finite magnet
+is *not* a point dipole: signal per unit moment depends on the magnet's
+shape.  This is what makes differently sized markers genuinely different
+in the interference study; with a pure point-dipole model every marker
+would have an identical signal-to-disturbance ratio by construction.  It
+evaluates two steps: ``_dipole_geometry`` (unit vectors and cubed
+distances, independent of the moment) and ``_dipole_sum``.
 
 ``cylinder_flux`` of one offset is memoised on the magnet and the exact
 offset (its float64 bit patterns) in a bounded LRU cache.  A schedule entry
@@ -25,9 +20,9 @@ it per bisection step, so it does not go through ``cylinder_flux`` or its
 memo; it is memoised itself: every grasp run builds its fingertips on the
 same marker, and the result is a frozen ``MagnetSpec``.
 
-Units: millimetres in, microtesla out, moments in A*m^2.  For the cylinder
-model the offset is measured from the centre of the magnet's bottom face
-(the face looking at the flux sensor); sub-dipoles fill z in [0, height].
+Units: millimetres in, microtesla out, moments in A*m^2.  The offset is
+measured from the centre of the magnet's bottom face (the face looking at
+the flux sensor); sub-dipoles fill z in [0, height].
 """
 
 from functools import lru_cache
@@ -40,7 +35,7 @@ from .record import Record
 # B[uT] = MU0_4PI * m[A m^2] * geometry / r[mm]^3
 MU0_4PI_UT_MM3 = 1.0e8
 
-# closest approach (mm) at which the dipole approximation is still accepted
+# closest approach (mm) of a field point to the magnet body that is still accepted
 MIN_OFFSET_MM = 0.5
 
 # equal-volume quadrature of the cylinder: radial shells x angles x layers
@@ -63,7 +58,6 @@ CALIBRATION_MAX_ITER = 200
 # moment is more than this far (relative) from it
 _DECISION_MARGIN = 1e-9
 _EPS = float(np.finfo(float).eps)
-_ORIGIN = np.zeros((1, 3))  # the point dipole's single source
 
 
 class MagnetSpec(Record, frozen=True):
@@ -92,11 +86,6 @@ def _dipole_sum(moment_vec: np.ndarray, rhat: np.ndarray, rn3: np.ndarray) -> np
     return MU0_4PI_UT_MM3 * contrib.sum(axis=-2)
 
 
-def _check_dipole_offset(offset: np.ndarray) -> None:
-    if np.linalg.norm(offset) <= MIN_OFFSET_MM:
-        raise OffsetTooSmall(f"|offset| = {np.linalg.norm(offset):.3g} mm <= {MIN_OFFSET_MM} mm")
-
-
 def _check_cylinder_offset(offset: np.ndarray, diameter_mm: float, height_mm: float) -> None:
     radial = max(0.0, float(np.hypot(offset[0], offset[1])) - 0.5 * diameter_mm)
     axial = max(0.0, -offset[2], offset[2] - height_mm)
@@ -104,18 +93,6 @@ def _check_cylinder_offset(offset: np.ndarray, diameter_mm: float, height_mm: fl
         raise OffsetTooSmall(
             f"field point within {MIN_OFFSET_MM} mm of the magnet body"
         )
-
-
-def dipole_flux(magnet: MagnetSpec, offset_mm) -> np.ndarray:
-    """Point-dipole flux density (uT) at ``offset_mm`` from the dipole.
-
-    Raises OffsetTooSmall within 0.5 mm of the dipole, where the model
-    (and the hardware) stops being meaningful.
-    """
-    offset = np.asarray(offset_mm, dtype=float).reshape(3)
-    _check_dipole_offset(offset)
-    moment_vec = np.array([0.0, 0.0, magnet.moment_a_m2])
-    return _dipole_sum(moment_vec, *_dipole_geometry(offset[None, :]))
 
 
 @lru_cache(maxsize=32)
@@ -168,23 +145,14 @@ def _cylinder_flux(magnet: MagnetSpec, offset_bytes: bytes) -> np.ndarray:
     return flux
 
 
-def _check_model(model: str) -> None:
-    if model not in ("cylinder", "dipole"):
-        raise ValueError(f"unknown field model {model!r}; expected 'cylinder' or 'dipole'")
-
-
-def effective_signal(magnet: MagnetSpec, gap_mm: float, model: str = "cylinder") -> float:
-    """|delta B| at the sensor for a 1 mm lateral shift of the magnet.
+def effective_signal(magnet: MagnetSpec, gap_mm: float) -> float:
+    """|delta B| (cylinder field) at the sensor for a 1 mm lateral shift of the magnet.
 
     The sensor sits ``gap_mm`` below the magnet; shifting the magnet +1 mm
     in x moves the field point to (-1, 0, -gap) in magnet coordinates.
-    ``model`` is ``"cylinder"`` or ``"dipole"``; anything else is a
-    ValueError.
     """
-    _check_model(model)
-    flux = cylinder_flux if model == "cylinder" else dipole_flux
-    rest = flux(magnet, (0.0, 0.0, -gap_mm))
-    shifted = flux(magnet, (-CALIBRATION_PROBE_MM, 0.0, -gap_mm))
+    rest = cylinder_flux(magnet, (0.0, 0.0, -gap_mm))
+    shifted = cylinder_flux(magnet, (-CALIBRATION_PROBE_MM, 0.0, -gap_mm))
     return float(np.linalg.norm(shifted - rest))
 
 
@@ -216,15 +184,14 @@ def calibrate_moment(
     height_mm: float = 1.0,
     diameter_mm: float = 3.0,
     magnet_id: int = 2,
-    model: str = "dipole",
 ) -> MagnetSpec:
-    """Find the moment whose 1 mm-shift signal at ``gap_mm`` is the target.
+    """Find the cylinder moment whose 1 mm-shift signal at ``gap_mm`` is the target.
 
     Bisection on the moment; the signal is monotone in it.  Raises
     NoConvergence for non-positive targets and if the bracket/refinement
-    budget of 200 iterations is exhausted, and ValueError for a ``model``
-    other than ``"cylinder"`` or ``"dipole"``; a failure is not memoised,
-    so every call raises it afresh.
+    budget of 200 iterations is exhausted, ValueError for non-positive
+    dimensions and OffsetTooSmall for a probe within 0.5 mm of the magnet
+    body; a failure is not memoised, so every call raises it afresh.
 
     The result is bit for bit the bisection over ``effective_signal``, but
     the probes' geometry is computed once, and since the signal is linear
@@ -233,17 +200,11 @@ def calibrate_moment(
     """
     if target_signal_ut <= 0.0:
         raise NoConvergence("target signal must be positive")
-    _check_model(model)
     MagnetSpec(1e-9, height_mm, diameter_mm, magnet_id)  # refuses bad dimensions first
     probes = np.array([(0.0, 0.0, -gap_mm), (-CALIBRATION_PROBE_MM, 0.0, -gap_mm)])
-    if model == "cylinder":
-        for probe in probes:
-            _check_cylinder_offset(probe, diameter_mm, height_mm)
-        pts = _cylinder_grid(diameter_mm, height_mm)
-    else:
-        for probe in probes:
-            _check_dipole_offset(probe)
-        pts = _ORIGIN
+    for probe in probes:
+        _check_cylinder_offset(probe, diameter_mm, height_mm)
+    pts = _cylinder_grid(diameter_mm, height_mm)
     rhat, rn3 = _dipole_geometry(probes[:, None, :] - pts)
     n_sub = len(pts)
 
@@ -294,10 +255,8 @@ MARKER_CANDIDATES = (
 
 
 def _calibrate_candidate(gap_mm: float, mid, diameter, height, signal) -> MagnetSpec:
-    """One ``MARKER_CANDIDATES`` entry, calibrated (cylinder model) at the rest gap."""
-    return calibrate_moment(
-        signal, gap_mm, height_mm=height, diameter_mm=diameter, magnet_id=mid, model="cylinder"
-    )
+    """One ``MARKER_CANDIDATES`` entry, calibrated at the rest gap."""
+    return calibrate_moment(signal, gap_mm, height_mm=height, diameter_mm=diameter, magnet_id=mid)
 
 
 def build_marker_set(gap_mm: float = 3.0) -> list[MagnetSpec]:

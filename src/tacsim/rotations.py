@@ -27,11 +27,11 @@ def axis_angle(axis, angle_rad: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
 
 
-def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
-    """Finite, orthonormal to within ``tol`` in every entry of ``R.T @ R``, and det +1."""
+def is_rotation(R) -> bool:
+    """Finite, orthonormal to within ``ROTATION_TOL`` in every entry of ``R.T @ R``, and det +1."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3) or not np.isfinite(R).all():
         return False
-    if np.abs(R.T @ R - np.eye(3)).max() > tol:
+    if np.abs(R.T @ R - np.eye(3)).max() > ROTATION_TOL:
         return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
+    return abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL
