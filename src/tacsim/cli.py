@@ -110,12 +110,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(out)
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # what mkdir makes, leaf first
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"output error: cannot create directory {out}: {exc.strerror}", file=sys.stderr)
         return 2
     gc.freeze()  # what the imports made outlives the study: no collection inside it walks those objects
+    result = None
     try:
         result = COMMANDS[command](cfg, out)
     except TacsimError as exc:
@@ -126,6 +129,12 @@ def main(argv=None) -> int:
         return 2
     finally:
         gc.unfreeze()
+        if result is None:  # the study failed: remove the directories made for it, while empty
+            for path in made:
+                try:
+                    path.rmdir()
+                except OSError:  # not empty: keep it and those above it
+                    break
     for path in getattr(result, "out_files", []):
         print(f"wrote {path}")
     return 0

@@ -396,11 +396,12 @@ def run_grasp(cfg: Config, out_dir=None) -> GraspResult:
 
     out_files = []
     if out_dir is not None:
-        rows = trace.rows  # its phase and event columns are codes into their labels, none quoted
+        rows = trace.rows  # its phase, finger and event columns are codes into their labels, none quoted
         out_files.append(write_table(
             _out_path(out_dir, "grasp_trace.csv"), [_header(cfg, "grasp")], TRACE_DTYPE.names,
-            [rows.tick, ([phase.value for phase in PHASES], rows.phase[:, None]), rows.finger,
-             rows.motor_deg, rows.signal, rows.contact_force_n, (EVENTS, rows.event[:, None])],
+            [rows.tick, ([phase.value for phase in PHASES], rows.phase[:, None]),
+             (("0", "1"), rows.finger[:, None]), rows.motor_deg, rows.signal, rows.contact_force_n,
+             (EVENTS, rows.event[:, None])],
         ))
         if linearity is not None:
             fit = " ".join(f"{k}={float(getattr(linearity, k))!r}" for k in ("slope", "intercept", "r2"))

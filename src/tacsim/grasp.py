@@ -126,9 +126,9 @@ class Egg(Record, frozen=True):
 class Tweezers(Record, frozen=True):
     """Sprung tweezers squeezed by the gripper around a small object.
 
-    Squeezing the arms by s mm closes the tip gap by the same amount
-    (unit lever ratio by default).  The arms resist with a soft spring;
-    once the tips meet the object its own stiffness adds on top.
+    Squeezing the arms by s mm closes the tip gap by the same amount.  The
+    arms resist with a soft spring; once the tips meet the object its own
+    stiffness adds on top.
     """
 
     object_size_mm: float = 6.0
@@ -136,13 +136,11 @@ class Tweezers(Record, frozen=True):
     tip_gap_mm: float = 12.0
     arm_rate_n_per_mm: float = 0.02
     spring_rate_n_per_mm: float = 0.2
-    tip_ratio: float = 1.0
     crush_force_n = None
 
     def __post_init__(self):
-        rates = (self.arm_rate_n_per_mm, self.spring_rate_n_per_mm, self.tip_ratio)
-        if not all(0.0 < v < math.inf for v in rates):
-            raise ValueError("spring rates and tip ratio must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.arm_rate_n_per_mm, self.spring_rate_n_per_mm)):
+            raise ValueError("spring rates must be positive and finite")
         if not 0.0 <= self.object_size_mm <= self.tip_gap_mm < math.inf:
             raise ValueError("object must fit between the open tips, and the tips be finite")
         if not math.isfinite(self.outer_width_mm):
@@ -153,7 +151,7 @@ class Tweezers(Record, frozen=True):
         if squeeze <= 0.0:
             return 0.0
         force = self.arm_rate_n_per_mm * squeeze
-        contact_squeeze = (self.tip_gap_mm - self.object_size_mm) / self.tip_ratio
+        contact_squeeze = self.tip_gap_mm - self.object_size_mm
         if squeeze > contact_squeeze:
             force += self.spring_rate_n_per_mm * (squeeze - contact_squeeze)
         return force

@@ -12,8 +12,9 @@ takes a whole schedule of held stimuli as one array block.
 ``FRAME_DTYPE`` is the one raw frame record: ``stream`` fills an array of
 them, the binary codec is their bytes, the CSV log a row per record.  Every
 codec, writer or reader, runs the same ``MalformedRecord`` check.  The CSV
-log and every study table go through ``write_table``, and the ``key = value``
-reports through ``write_sections``.
+log and every study table go through ``write_table``, which gathers rows
+from one slot array per part (a column coded as its runs, or a block its
+caller coded); the ``key = value`` reports go through ``write_sections``.
 """
 
 import csv
@@ -339,15 +340,13 @@ def _quoted(value, alone: bool) -> str:
 
 
 def _coded(values: np.ndarray, alone: bool):
-    """A column of cells as ``(texts, index)``: the texts it is read from, and
-    each row's text as an ``(n, 1)`` array.
+    """A column of cells as ``(texts, index)``: the text of each run of equal
+    cells, and each row's run as an ``(n, 1)`` array.
 
-    Each run of equal cells is formatted once.  Floats compare by their
-    float64 bits, so -0.0 and 0.0 are apart, and read as the shortest
-    round-trip repr; integers read as decimals, from a table of their value
-    range where that is narrower than their run count; anything else reads
-    as ``csv.writer`` writes it in a row of more than one field, or of one
-    (``alone``).
+    Each run is formatted once.  Floats compare by their float64 bits, so
+    -0.0 and 0.0 are apart, and read as the shortest round-trip repr;
+    integers read as decimals; anything else reads as ``csv.writer`` writes
+    it in a row of more than one field, or of one (``alone``).
     """
     n, kind = len(values), values.dtype.kind
     if not n:
@@ -368,20 +367,9 @@ def _coded(values: np.ndarray, alone: bool):
     index = np.zeros(n, np.intp)
     index[bounds[1:-1]] = np.arange(1, len(firsts))
     index = np.maximum.accumulate(index, out=index)[:, None]
-    if kind in "iu":
-        lo, hi = min(firsts), max(firsts)  # Python integers: no int64 loop, and no overflow
-        if hi - lo + 1 < len(firsts):
-            return [f"{v!r}" for v in range(lo, hi + 1)], np.array([v - lo for v in firsts]).take(index)
     if kind in "fiu":
-        return [f"{v!r}" for v in firsts], index  # ASCII, which _slots encodes
+        return [f"{v!r}" for v in firsts], index  # ASCII, which write_table encodes
     return [_quoted(v, alone).encode() for v in firsts], index
-
-
-def _slots(texts, end: bytes) -> np.ndarray:
-    """Texts (ASCII ``str`` or bytes) as the rows of a byte array: each text, NULs to pad, ``end``."""
-    texts = np.asarray(texts, "S")
-    ends = np.full((len(texts), len(end)), np.frombuffer(end, np.uint8))
-    return np.concatenate([texts.view(np.uint8).reshape(len(texts), texts.itemsize), ends], axis=1)
 
 
 def write_table(path, comments, names, columns):
@@ -393,11 +381,12 @@ def write_table(path, comments, names, columns):
     value), or a block of ``c`` columns coded already, as a ``(texts,
     index)`` tuple: the texts as written (ASCII ``str`` or UTF-8 bytes) and
     an ``(n, c)`` integer array of each cell's text.  A comment line ends in
-    ``\\n``; the header and every row in ``\\r\\n``.  The file is UTF-8.  The
-    texts become NUL-padded slots that ``take`` gathers into rows,
-    ``CSV_CHUNK_ROWS`` at a time, written with the NULs dropped; so no text
-    may hold a NUL.  MalformedRecord, before the file is opened, for a
-    comment of more than one line or that UTF-8 cannot encode.
+    ``\\n``; the header and every row in ``\\r\\n``.  The file is UTF-8.  Each
+    part's texts become byte slots (the text, NULs to pad, ``,\\0``) that
+    ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at a time; each row's last
+    two bytes become ``\\r\\n`` and the NULs are dropped, so no text may hold
+    a NUL.  MalformedRecord, before the file is opened, for a comment of more
+    than one line or that UTF-8 cannot encode.
     """
     if any("\n" in line or "\r" in line for line in comments):
         raise MalformedRecord("header comment must be one line")
@@ -408,22 +397,21 @@ def write_table(path, comments, names, columns):
         head = head.getvalue().encode()
     except UnicodeEncodeError as exc:
         raise MalformedRecord(f"header comment is not UTF-8 text: {exc.reason}") from None
-    parts, done = [], 0  # (slots, index) pairs to gather, and the columns they hold
+    parts = []  # (slots, index) pairs to gather
     for column in columns:
         texts, index = column if isinstance(column, tuple) else _coded(np.asarray(column), len(names) == 1)
-        done += index.shape[1]
-        last = done == len(names)  # the table's last column ends the row
-        cut = index.shape[1] - last
-        if cut:
-            parts.append((_slots(texts, b","), index[:, :cut]))
-        if last:
-            parts.append((_slots(texts, b"\r\n"), index[:, cut:]))
+        texts = np.asarray(texts, "S")
+        slots = np.zeros((len(texts), texts.itemsize + 2), np.uint8)
+        slots[:, :-2] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+        slots[:, -2] = ord(",")
+        parts.append((slots, index))
     n = len(parts[0][1]) if parts else 0
     with open(path, "wb") as fh:
         fh.write(head)
         for lo in range(0, n, CSV_CHUNK_ROWS):
             rows = [slots.take(index[lo : lo + CSV_CHUNK_ROWS], axis=0) for slots, index in parts]
             rows = np.concatenate([r.reshape(len(r), -1) for r in rows], axis=1)
+            rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the row's last ",\0"
             fh.write(rows.tobytes().translate(None, b"\0"))
     return path
 

@@ -361,6 +361,24 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, capsys):
     assert "RankDeficientFit" in capsys.readouterr().err
 
 
+# a 5 N press on a 1 mm SA2 layer brings the marker within 0.5 mm of the flux sensor
+TOO_CLOSE = ["--set", "elastomer.sa2_thickness_mm=1.0", "--set", "characterize.force_max_n=5"]
+
+
+@pytest.mark.parametrize("out", ["out", "a/b"])
+def test_a_failed_study_leaves_no_directory_it_made(out, tmp_path, capsys):
+    assert main(["characterize", "--out", str(tmp_path / out)] + TOO_CLOSE) == 1
+    assert "error: OffsetTooSmall: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_study_keeps_the_directory_that_was_there(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    assert main(["characterize", "--out", str(tmp_path / "out")] + TOO_CLOSE) == 1
+    assert "error: OffsetTooSmall: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"] and list((tmp_path / "out").iterdir()) == []
+
+
 def test_a_sweep_that_never_leaves_the_init_window_is_exit_one(tmp_path, capsys):
     # 100 ticks, all in the initialization window: each swept size replays the last
     overrides = ["grasp.object=tweezers", "grasp.policy=hysteresis", "grasp.max_ticks=100"]

@@ -132,7 +132,6 @@ NAN, INF = float("nan"), float("inf")
     (Tweezers, {"tip_gap_mm": INF}),
     (Tweezers, {"arm_rate_n_per_mm": INF}),
     (Tweezers, {"spring_rate_n_per_mm": NAN}),
-    (Tweezers, {"tip_ratio": INF}),
     (GripperGeometry, {"increment_deg": NAN}),
     (GripperGeometry, {"opening_mm": INF}),
     (GripperGeometry, {"max_travel_deg": 0.0}),
@@ -177,13 +176,6 @@ def test_rigid_object_refuses_what_breaks_a_falling_force(kwargs):
         RigidObject(**kwargs)
 
 
-@pytest.mark.parametrize("tip_ratio", [0.0, -1.0, float("nan")])
-def test_tweezers_refuse_a_tip_ratio_that_is_not_positive(tip_ratio):
-    # 0.0 used to raise ZeroDivisionError from contact_force
-    with pytest.raises(ValueError):
-        Tweezers(tip_ratio=tip_ratio)
-
-
 def test_contact_force_shapes():
     assert NoObject().contact_force(1.0) == 0.0
     assert RigidObject().contact_force(50.0) == 0.0
@@ -213,7 +205,7 @@ def tweezers(draw):
     return Tweezers(
         object_size_mm=draw(st.floats(0.0, tip_gap)), outer_width_mm=draw(positive(200.0)),
         tip_gap_mm=tip_gap, arm_rate_n_per_mm=draw(positive(10.0)),
-        spring_rate_n_per_mm=draw(positive(1e3)), tip_ratio=draw(positive(10.0)),
+        spring_rate_n_per_mm=draw(positive(1e3)),
     )
 
 

@@ -12,15 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tacsim
 from tacsim import cli, experiments, pipeline
 from tacsim.config import load_config
+from tacsim.errors import TacsimError
 from tacsim.experiments import (
     _header,
     run_characterize,
     run_disturbance,
     run_grasp,
+    run_snr_sweep,
     run_stream,
 )
 from tacsim.pipeline import CSV_CHUNK_ROWS, write_table
@@ -173,17 +177,23 @@ def test_grasp_results_carry_no_replay_data(overrides):
 # the study writer, column by column, against the per-cell writer
 # ---------------------------------------------------------------------------
 
-def write_csv_oracle(cfg, study, path, names, rows, notes=()):
-    """The study writer as it was, one cell at a time: the byte-level reference."""
-    with path.open("w", newline="") as fh:
-        for line in (_header(cfg, study), *notes):
-            fh.write(f"# {line}\n")
+def cells(column):
+    """The cells of a ``write_table`` column, or of each column of a ``(texts, index)`` block."""
+    if not isinstance(column, tuple):
+        return [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in column]]
+    texts, index = column
+    texts = [t.decode() if isinstance(t, bytes) else t for t in texts]
+    return [[texts[i] for i in index[:, k]] for k in range(index.shape[1])]
+
+
+def write_csv_oracle(path, comments, names, columns):
+    """``write_table`` as the study writer was, one cell at a time: the byte-level reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
         w = csv.writer(fh)
         w.writerow(names)
-        w.writerows(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
-        )
-    return path
+        w.writerows(zip(*[c for column in columns for c in cells(column)]))
+    return Path(path)
 
 
 N_LONG = 2 * CSV_CHUNK_ROWS + 77
@@ -205,9 +215,9 @@ TABLES = {
         np.array(["held", "", "a,b"])[np.arange(N_LONG) // (CSV_CHUNK_ROWS - 1) % 3],
         np.where(np.arange(N_LONG) % 2, 0.0, -0.0),
     ],
-    # integer columns read from a table of their value range, and from their runs
+    # integer columns of few values and of many runs, read from their runs
     "int-ranges-longer-than-two-chunks": [
-        np.arange(N_LONG) % 2,  # the grasp trace's finger column
+        np.arange(N_LONG) % 2,  # the grasp trace's finger values: a run per row, of two values
         np.arange(N_LONG) // 2,  # its tick column: as many values as runs
         np.arange(N_LONG) % 7 - 3,  # from negative to positive
         (np.arange(N_LONG) // 3 % 2 * 2**40).astype(np.uint64),
@@ -218,6 +228,24 @@ TABLES = {
         np.array([-(2**63), 2**63 - 1, -(2**63), 0, 2**63 - 1], np.int64),
         np.array([0, 2**64 - 1, 0, 2**63, 2**64 - 1], np.uint64),
     ],
+    # blocks coded by the caller, as (texts, index); their texts are written as they are
+    "last-part-a-three-column-block": [
+        [1.5, -0.0, 2.0],
+        (("x", "yy", "-0.0"), np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])),
+    ],
+    "one-block-column": [(("µT".encode(), b"a"), np.array([[0], [1], [1], [0]], np.uint8))],
+    "block-between-plain-columns": [
+        [1, 2, 3],
+        (("p", "q"), np.array([[0, 1], [1, 1], [0, 0]])),
+        [0.5, -0.0, 1e300],
+    ],
+    "blocks-of-no-rows": [(("p",), np.zeros((0, 2), np.intp)), [], (("q",), np.zeros((0, 1), np.intp))],
+    "blocks-longer-than-two-chunks": [
+        (("0", "1"), (np.arange(N_LONG) % 2)[:, None]),  # the grasp trace's finger column
+        np.arange(N_LONG) // 3 * 0.5,
+        # the stream log's counts: a block of three columns reading one table of 1,024 texts
+        ([str(v) for v in range(1024)], (3 * np.arange(N_LONG)[:, None] + np.arange(3)) % 1024),
+    ],
 }
 
 
@@ -225,30 +253,142 @@ TABLES = {
 @pytest.mark.parametrize("notes", [(), ("slope=0.5 intercept=-0.0", "second note")],
                          ids=["no-notes", "notes"])
 def test_study_writer_bytes_equal_the_per_cell_writer(columns, notes, tmp_path):
-    cfg = load_config()
-    names = [f"c{i}" for i in range(len(columns))]
-    rows = list(zip(*columns))
-    got = write_table(tmp_path / "columns.csv", [_header(cfg, "probe"), *notes], names, columns)
-    want = write_csv_oracle(cfg, "probe", tmp_path / "cells.csv", names, rows, notes)
+    comments = [_header(load_config(), "probe"), *notes]
+    names = [f"c{i}" for i in range(len([c for column in columns for c in cells(column)]))]
+    got = write_table(tmp_path / "columns.csv", comments, names, columns)
+    want = write_csv_oracle(tmp_path / "cells.csv", comments, names, columns)
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "values, texts",
-    [
-        ([0, 1, 0, 1], ["0", "1"]),
-        ([5, 7, 6, 5], ["5", "6", "7"]),  # a range one narrower than its runs
-        ([5, 7, 6], ["5", "7", "6"]),  # as wide as its runs: read from the runs
-        ([-2, 3, -2, 3, -2, 3, -2], ["-2", "-1", "0", "1", "2", "3"]),
-        ([-(2**63), 2**63 - 1, -(2**63)], [str(-(2**63)), str(2**63 - 1), str(-(2**63))]),
-        ([7, 7, 7], ["7"]),
-    ],
-    ids=["alternating", "one-narrower", "as-wide", "negative-to-positive", "int64-extremes", "one-run"],
-)
-def test_an_integer_column_reads_from_its_range_only_where_that_is_narrower_than_its_runs(values, texts):
-    got, index = pipeline._coded(np.array(values), alone=False)
-    assert got == texts
-    assert [got[i] for i in index[:, 0]] == [str(v) for v in values]
+# ---------------------------------------------------------------------------
+# whole studies, their files against the same study through the per-cell writer
+# ---------------------------------------------------------------------------
+
+QUIET = ["noise.fa1_sigma_counts=0", "noise.sa2_sigma_ut=0", "noise.quantization_ut=0"]
+
+
+@st.composite
+def front_end(draw):
+    """A seed, a short initialization window and filter, and noise on or off."""
+    init = draw(st.integers(1, 60))
+    return [
+        f"environment.seed={draw(st.integers(0, 2**32 - 1))}",
+        f"stream.init_samples={init}",
+        f"stream.baseline_tail={draw(st.integers(1, init))}",
+        f"stream.ma_window={draw(st.integers(1, 8))}",
+    ] + QUIET * draw(st.booleans())  # no noise: long runs of equal cells
+
+
+@st.composite
+def characterize(draw):
+    dwell = draw(st.integers(1, 10))
+    locations = draw(st.lists(st.sampled_from(load_config().locations()), min_size=1, max_size=2, unique=True))
+    return [
+        f"characterize.dwell_frames={dwell}",
+        f"characterize.tail_frames={draw(st.integers(1, dwell))}",
+        f"characterize.force_max_n={draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))}",
+        f"characterize.force_step_n={draw(st.sampled_from([0.25, 0.5]))}",
+        f"characterize.shear_max_n={draw(st.sampled_from([0.0, 0.25, 0.5]))}",
+        "characterize.locations=" + ";".join(f"{x},{y}" for x, y in locations),
+    ]
+
+
+@st.composite
+def disturbance(draw):
+    dwell = draw(st.integers(1, 20))
+    return [
+        f"disturbance.dwell_frames={dwell}",
+        f"disturbance.tail_frames={draw(st.integers(1, dwell))}",
+        f"disturbance.repeats={draw(st.integers(1, 2))}",
+        f"disturbance.rotation_deg={draw(st.floats(1.0, 180.0))!r}",
+        f"sensor.magnet_id={draw(st.integers(1, 4))}",
+    ]
+
+
+@st.composite
+def snr_sweep(draw):
+    low = draw(st.floats(4.0, 20.0))
+    return [
+        f"snr.dy_min_mm={low!r}",
+        f"snr.dy_max_mm={draw(st.floats(low, 30.0))!r}",
+        f"snr.dy_step_mm={draw(st.floats(0.5, 4.0))!r}",
+        f"sensor.magnet_id={draw(st.integers(1, 4))}",
+    ]
+
+
+@st.composite
+def egg(draw):
+    return [
+        f"grasp.max_ticks={draw(st.integers(1, 1200))}",
+        f"grasp.threshold={draw(st.floats(200.0, 1500.0))!r}",
+        f"grasp.blend={draw(st.floats(0.0, 1.0))!r}",
+    ]
+
+
+@st.composite
+def tweezers_hysteresis(draw):
+    sizes = draw(st.lists(st.sampled_from([2.0, 3.3, 6.0, 10.0, 12.0]), min_size=2, max_size=3, unique=True))
+    return [
+        "grasp.object=tweezers", "grasp.policy=hysteresis",
+        f"grasp.tweezers_size_mm={draw(st.sampled_from([2.0, 6.0, 7.5]))}",
+        "grasp.tweezers_sizes_mm=" + ",".join(map(str, sizes)),
+        f"grasp.hold_s={draw(st.sampled_from([0.0, 0.1, 1.0]))}",
+        f"grasp.max_ticks={draw(st.integers(1, 2500))}",
+    ]
+
+
+@st.composite
+def stream(draw):
+    rate = draw(st.integers(1, 500))
+    frames = draw(st.integers(1, 2 * rate))  # 2 s at most
+    return [
+        f"stream.fingers={draw(st.integers(1, 3))}",
+        f"stream.rate_hz={rate}",
+        f"stream.duration_s={frames / rate!r}",
+        f"stream.binary={draw(st.booleans())}",
+    ]
+
+
+SMALL_STUDIES = {
+    "characterize": (run_characterize, characterize()),
+    "disturbance": (run_disturbance, disturbance()),
+    "snr-sweep": (run_snr_sweep, snr_sweep()),
+    "egg": (run_grasp, egg()),
+    "tweezers-hysteresis": (run_grasp, tweezers_hysteresis()),
+    "stream": (run_stream, stream()),
+}
+
+
+def outcome(run, cfg, out):
+    """The files ``run`` writes into ``out``, by name, or the error it raises."""
+    try:
+        run(cfg, out)
+    except TacsimError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("study", SMALL_STUDIES)
+@settings(max_examples=8, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_study_files_equal_those_of_the_per_cell_writer(study, data, tmp_path_factory):
+    run, overrides = SMALL_STUDIES[study]
+    cfg = load_config(overrides=data.draw(front_end(), label="front end") + data.draw(overrides, label=study))
+    got = outcome(run, cfg, tmp_path_factory.mktemp(study))
+    written = []
+
+    def per_cell(path, *args):
+        written.append(Path(path).name)
+        return write_csv_oracle(path, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (experiments, pipeline):
+            mp.setattr(module, "write_table", per_cell)
+        want = outcome(run, cfg, tmp_path_factory.mktemp(study))
+    assert got == want
+    if isinstance(want, dict):  # every CSV came from the per-cell writer
+        assert sorted(written) == [name for name in want if name.endswith(".csv")]
 
 
 # ---------------------------------------------------------------------------
