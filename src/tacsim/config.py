@@ -152,7 +152,8 @@ RULES = (
      <= v["grasp"]["tweezers_tip_gap_mm"]),
     ("grasp.tweezers_sizes_mm holds two distinct sizes or more",
      lambda v: len(set(v["grasp"]["tweezers_sizes_mm"])) >= 2),
-    # each size is a grasp of about 6 ms: 100,000 sizes would run for about 10 minutes
+    # each size is a grasp: a few ms at the defaults, but about 0.15-0.2 s (2 shared cores) at
+    # grasp.max_ticks=100000 and grasp.hold_s=3600, where 1,000 sizes run for minutes
     ("grasp.tweezers_sizes_mm holds 1,000 sizes at most",
      lambda v: len(v["grasp"]["tweezers_sizes_mm"]) <= 1000),
     ("snr.dy_min_mm <= snr.dy_max_mm", lambda v: v["snr"]["dy_min_mm"] <= v["snr"]["dy_max_mm"]),

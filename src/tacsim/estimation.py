@@ -15,9 +15,8 @@ import numpy as np
 from .errors import NoContact, RankDeficientFit
 from .pipeline import write_sections
 from .record import Record
-from .sensor import TAXEL_X_MM, TAXEL_Y_MM
+from .sensor import TAXEL_PITCH_MM, TAXEL_X_MM, TAXEL_Y_MM
 
-DEFAULT_PITCH_MM = 2.5
 CONTACT_THRESHOLD_COUNTS = 5.0
 BLEND_GRID_STEP = 0.05
 
@@ -31,7 +30,7 @@ class CalibrationParams(Record):
     k: np.ndarray = (1.0, 1.0, 1.0)  # made arrays by __post_init__
     b: np.ndarray = (0.0, 0.0, 0.0)
     blend: float = 0.0
-    pitch_mm: float = DEFAULT_PITCH_MM
+    pitch_mm: float = TAXEL_PITCH_MM
     scale_bz: float = 1.0
     scale_sum: float = 1.0
     r2: np.ndarray | None = None
@@ -51,7 +50,7 @@ class CalibrationParams(Record):
 
 
 class SweepSample(Record):
-    """One averaged dwell from a characterization run, or ``n`` of them on a leading axis."""
+    """One averaged dwell from a characterization run."""
 
     force_true_n: np.ndarray
     location_true_mm: np.ndarray
@@ -61,15 +60,6 @@ class SweepSample(Record):
     @property
     def fa1_sum(self) -> float:
         return float(np.sum(self.fa1_rel))
-
-    # frame-like aliases so a sample can feed the estimators directly
-    @property
-    def fa1(self) -> np.ndarray:
-        return self.fa1_rel
-
-    @property
-    def sa2(self) -> np.ndarray:
-        return self.sa2_rel
 
 
 class CharacterizationSweep(Record):
@@ -86,7 +76,7 @@ class CharacterizationSweep(Record):
         return np.array([s.fa1_sum for s in self.samples])
 
 
-def estimate_location(fa1_rel, pitch_mm: float = DEFAULT_PITCH_MM) -> np.ndarray:
+def estimate_location(fa1_rel, pitch_mm: float = TAXEL_PITCH_MM) -> np.ndarray:
     """Contact point (mm) from the relative taxel readings.
 
     The taxel-weighted centroid, divided by the live response sum so the
@@ -101,7 +91,7 @@ def estimate_location(fa1_rel, pitch_mm: float = DEFAULT_PITCH_MM) -> np.ndarray
     if r.ndim <= 2 and not located[0]:
         raise NoContact(f"no taxel above {CONTACT_THRESHOLD_COUNTS} counts")
     w = np.clip(batch[located], 0.0, None)[:, None]
-    grid = np.stack([TAXEL_X_MM, TAXEL_Y_MM]) / DEFAULT_PITCH_MM * pitch_mm
+    grid = np.stack([TAXEL_X_MM, TAXEL_Y_MM]) / TAXEL_PITCH_MM * pitch_mm
     loc = np.full((len(batch), 2), np.nan)
     loc[located] = (grid * w).sum(axis=(2, 3)) / w.sum(axis=(2, 3))
     return loc.reshape(r.shape[:-2] + (2,))
@@ -114,10 +104,10 @@ def mixed_z_channel(delta_bz, fa1_sum, params: CalibrationParams):
     return params.blend * zb + (1.0 - params.blend) * zr
 
 
-def estimate_force(rel_frame, params: CalibrationParams) -> np.ndarray:
-    """Affine per-axis force estimate (N): ``(3,)`` from one relative frame, ``(n, 3)`` from n."""
-    db = np.asarray(rel_frame.sa2, dtype=float)
-    fa1_sum = np.sum(rel_frame.fa1, axis=tuple(range(db.ndim - 1, np.ndim(rel_frame.fa1))))
+def estimate_force(fa1_rel, sa2_rel, params: CalibrationParams) -> np.ndarray:
+    """Affine per-axis force (N): ``(3,)`` from a ``(4, 4)`` taxel reading and ``(3,)`` flux, ``(n, 3)`` from n."""
+    db = np.asarray(sa2_rel, dtype=float)
+    fa1_sum = np.sum(fa1_rel, axis=(-2, -1))
     fx = params.k[0] * db[..., 0] + params.b[0]
     fy = params.k[1] * db[..., 1] + params.b[1]
     fz = params.k[2] * mixed_z_channel(db[..., 2], fa1_sum, params) + params.b[2]

@@ -177,10 +177,10 @@ def _simulate_sweep(cfg: Config, sensor: TactileSensor, label: str, location) ->
 def _evaluate_sweep(sweep: CharacterizationSweep, params: CalibrationParams) -> LocationMetrics:
     """Score a sweep's samples as one batch; rows of no contact leave location and torque out."""
     force, cop = sweep.force_truth(), np.array([s.location_true_mm for s in sweep.samples])
-    pooled = SweepSample(force, cop, np.array([s.fa1_rel for s in sweep.samples]), sweep.delta_b())
-    f_est = estimate_force(pooled, params)
+    fa1 = np.array([s.fa1_rel for s in sweep.samples])
+    f_est = estimate_force(fa1, sweep.delta_b(), params)
     force_sq = (f_est - force) ** 2
-    loc_est = estimate_location(pooled.fa1_rel, params.pitch_mm)
+    loc_est = estimate_location(fa1, params.pitch_mm)
     located = ~np.isnan(loc_est[:, 0])
     if not located.any():
         raise NoContact(f"no sample at {sweep.location_label} reached the taxel threshold")
@@ -209,19 +209,23 @@ def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
 
     out_files = []
     if out_dir is not None:
+        # the location column is a block of the labels: a row, or a run of rows, per location
+        labels, rows = [s.location_label for s in sweeps], np.arange(len(sweeps))
         report = write_table(
             _out_path(out_dir, "characterize_report.csv"), [_header(cfg, "characterize")],
             ["location", "n_samples", "location_rmse_mm", "force_rmse_n",
              "fx_rmse_n", "fy_rmse_n", "fz_rmse_n", "torque_rmse_nmm"],
-            map(list, zip(*([m.label, m.n_samples, m.location_rmse_mm, m.force_rmse_n,
-                             *m.force_axis_rmse_n, m.torque_rmse_nmm] for m in metrics))),
+            [(labels, rows[:, None]),
+             *map(list, zip(*([m.n_samples, m.location_rmse_mm, m.force_rmse_n, *m.force_axis_rmse_n,
+                               m.torque_rmse_nmm] for m in metrics)))],
         )
         samples = write_table(
             _out_path(out_dir, "characterize_samples.csv"), [_header(cfg, "characterize")],
             ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
              "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"],
-            map(list, zip(*([sweep.location_label, *s.force_true_n, *s.location_true_mm, *s.sa2_rel,
-                             s.fa1_sum] for sweep in sweeps for s in sweep.samples))),
+            [(labels, np.repeat(rows, [len(s.samples) for s in sweeps])[:, None]),
+             *map(list, zip(*([*s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
+                              for sweep in sweeps for s in sweep.samples)))],
         )
         out_files = [report, samples, _write_calibration(cfg, params, out_dir, "characterize")]
     return CharacterizeResult(sweeps=sweeps, params=params, metrics=metrics, out_files=out_files)

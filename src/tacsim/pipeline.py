@@ -13,13 +13,13 @@ takes a whole schedule of held stimuli as one array block.
 them, the binary codec is their bytes, the CSV log a row per record.  Every
 codec, writer or reader, runs the same ``MalformedRecord`` check.  The CSV
 log and every study table go through ``write_table``, which gathers rows
-from one slot array per part (a column coded as its runs, or a block its
-caller coded); the ``key = value`` reports go through ``write_sections``.
+from one slot array per part (a column of numbers coded as its runs, or a
+block of texts its caller coded); the ``key = value`` reports go through
+``write_sections``.
 """
 
 import csv
 import io
-import operator
 import re
 import warnings
 from collections import deque
@@ -97,10 +97,6 @@ class RelativeFrame(Record):
     def __post_init__(self):
         self.fa1 = np.asarray(self.fa1, dtype=float).reshape(FA1_SHAPE)
         self.sa2 = np.asarray(self.sa2, dtype=float).reshape(3)
-
-    @property
-    def fa1_sum(self) -> float:
-        return float(self.fa1.sum())
 
 
 class Baseline(Record):
@@ -332,55 +328,45 @@ def decode_frames(buf: bytes) -> np.recarray:
 CSV_CHUNK_ROWS = 512  # rows a CSV table is written in: no temporary of the whole table
 
 
-def _quoted(value, alone: bool) -> str:
-    """``value`` as ``csv.writer`` writes it as a field: in a row of one, or of more."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value] if alone else [value, ""])
-    return buf.getvalue()[: -2 if alone else -3]  # the row's "\r\n", and the empty field's ","
-
-
-def _coded(values: np.ndarray, alone: bool):
-    """A column of cells as ``(texts, index)``: the text of each run of equal
+def _coded(values: np.ndarray):
+    """A column of numbers as ``(texts, index)``: the text of each run of equal
     cells, and each row's run as an ``(n, 1)`` array.
 
     Each run is formatted once.  Floats compare by their float64 bits, so
     -0.0 and 0.0 are apart, and read as the shortest round-trip repr;
-    integers read as decimals; anything else reads as ``csv.writer`` writes
-    it in a row of more than one field, or of one (``alone``).
+    integers read as decimals.  TypeError for a column of anything else:
+    text reaches the writer as a block its caller coded.
     """
     n, kind = len(values), values.dtype.kind
+    if kind not in "fiu":
+        raise TypeError(f"a {values.dtype} column is not numbers: pass text as a (texts, index) block")
     if not n:
         return [], np.zeros((0, 1), np.intp)
-    if kind in "fiu":
-        # each value's two 32-bit halves as floats, exactly: equal where the bits are.  Not
-        # the integer loops: a numpy loop met for the first time faults its code in, which
-        # shows in the open-loop studies' peak RSS, and these float ones they run already
-        bits = values.astype(float if kind == "f" else np.int64)  # contiguous, 8 bytes a value
-        halves = bits.view(np.uint32).astype(float).reshape(n, 2)
-        starts = (halves[1:] != halves[:-1]).any(axis=1)
-    else:
-        keys = values.tolist()
-        starts = np.fromiter(map(operator.ne, keys[1:], keys), bool, n - 1)
+    # each value's two 32-bit halves as floats, exactly: equal where the bits are.  Not
+    # the integer loops: a numpy loop met for the first time faults its code in, which
+    # shows in the open-loop studies' peak RSS, and these float ones they run already
+    bits = values.astype(float if kind == "f" else np.int64)  # contiguous, 8 bytes a value
+    halves = bits.view(np.uint32).astype(float).reshape(n, 2)
+    starts = (halves[1:] != halves[:-1]).any(axis=1)
     bounds = np.flatnonzero(np.concatenate([[True], starts, [True]]))  # each run's first row, and n
     firsts = values[bounds[:-1]].tolist()
     # each row's run: the number of the last run to start at or before it
     index = np.zeros(n, np.intp)
     index[bounds[1:-1]] = np.arange(1, len(firsts))
     index = np.maximum.accumulate(index, out=index)[:, None]
-    if kind in "fiu":
-        return [f"{v!r}" for v in firsts], index  # ASCII, which write_table encodes
-    return [_quoted(v, alone).encode() for v in firsts], index
+    return [f"{v!r}" for v in firsts], index  # ASCII, which write_table encodes
 
 
 def write_table(path, comments, names, columns):
     """Write a CSV table and return ``path``: each comment as a ``# `` line, the header ``names``, the rows.
 
-    ``columns`` holds the table's columns in the order of ``names``: each a
-    sequence (not a tuple) of cells of one kind, written as ``csv.writer``
-    writes them (a float as the shortest round-trip repr of its float64
-    value), or a block of ``c`` columns coded already, as a ``(texts,
-    index)`` tuple: the texts as written (ASCII ``str`` or UTF-8 bytes) and
-    an ``(n, c)`` integer array of each cell's text.  A comment line ends in
+    ``columns`` holds the table's parts in the order of ``names``: each a
+    column of numbers, a sequence (not a tuple) of floats or of integers,
+    written as ``csv.writer`` writes them (a float as the shortest
+    round-trip repr of its float64 value), or a block of ``c`` columns its
+    caller coded, as a ``(texts, index)`` tuple: the texts as written,
+    unquoted (ASCII ``str`` or UTF-8 bytes), and an ``(n, c)`` integer array
+    of each cell's text; TypeError for any other column.  A comment line ends in
     ``\\n``; the header and every row in ``\\r\\n``.  The file is UTF-8.  Each
     part's texts become byte slots (the text, NULs to pad, ``,\\0``) that
     ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at a time; each row's last
@@ -399,7 +385,7 @@ def write_table(path, comments, names, columns):
         raise MalformedRecord(f"header comment is not UTF-8 text: {exc.reason}") from None
     parts = []  # (slots, index) pairs to gather
     for column in columns:
-        texts, index = column if isinstance(column, tuple) else _coded(np.asarray(column), len(names) == 1)
+        texts, index = column if isinstance(column, tuple) else _coded(np.asarray(column))
         texts = np.asarray(texts, "S")
         slots = np.zeros((len(texts), texts.itemsize + 2), np.uint8)
         slots[:, :-2] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)

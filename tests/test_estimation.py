@@ -7,7 +7,6 @@ from tacsim.errors import NoContact, RankDeficientFit
 from tacsim.estimation import (
     CONTACT_THRESHOLD_COUNTS,
     DEFAULT_JOINT_CENTER_MM,
-    DEFAULT_PITCH_MM,
     CalibrationParams,
     CharacterizationSweep,
     SweepSample,
@@ -20,7 +19,7 @@ from tacsim.estimation import (
     save_calibration,
     select_blend,
 )
-from tacsim.sensor import TAXEL_X_MM, TAXEL_Y_MM
+from tacsim.sensor import TAXEL_PITCH_MM, TAXEL_X_MM, TAXEL_Y_MM
 
 
 def uniform_fa1(total):
@@ -93,24 +92,12 @@ def test_pitch_scales_the_grid():
 
 def test_zero_input_returns_intercepts():
     params = CalibrationParams(k=(2.0, 3.0, 4.0), b=(0.5, -0.25, 1.0))
-    zero = SweepSample(
-        force_true_n=np.zeros(3),
-        location_true_mm=np.array([6.25, 6.25]),
-        fa1_rel=np.zeros((4, 4)),
-        sa2_rel=np.zeros(3),
-    )
-    np.testing.assert_allclose(estimate_force(zero, params), [0.5, -0.25, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(estimate_force(np.zeros((4, 4)), np.zeros(3), params), [0.5, -0.25, 1.0], rtol=1e-15)
 
 
 def test_force_direct_substitution():
     params = CalibrationParams(k=(1.0, 1.0, 0.01), b=(0.0, 0.0, 0.0), blend=0.0)
-    sample = SweepSample(
-        force_true_n=np.zeros(3),
-        location_true_mm=np.array([6.25, 6.25]),
-        fa1_rel=uniform_fa1(150.0),
-        sa2_rel=np.zeros(3),
-    )
-    assert estimate_force(sample, params)[2] == pytest.approx(1.5, rel=1e-12)
+    assert estimate_force(uniform_fa1(150.0), np.zeros(3), params)[2] == pytest.approx(1.5, rel=1e-12)
 
 
 def test_force_map_is_affine(rng):
@@ -118,13 +105,10 @@ def test_force_map_is_affine(rng):
         k=rng.normal(size=3), b=rng.normal(size=3), blend=0.35, scale_bz=387.0, scale_sum=2210.0
     )
     for _ in range(30):
-        f1 = SweepSample(np.zeros(3), np.zeros(2), rng.normal(size=(4, 4)), rng.normal(size=3))
-        f2 = SweepSample(np.zeros(3), np.zeros(2), rng.normal(size=(4, 4)), rng.normal(size=3))
-        joint = SweepSample(
-            np.zeros(3), np.zeros(2), f1.fa1_rel + f2.fa1_rel, f1.sa2_rel + f2.sa2_rel
-        )
-        lhs = estimate_force(joint, params) - params.b
-        rhs = (estimate_force(f1, params) - params.b) + (estimate_force(f2, params) - params.b)
+        fa1_1, fa1_2 = rng.normal(size=(2, 4, 4))
+        sa2_1, sa2_2 = rng.normal(size=(2, 3))
+        lhs = estimate_force(fa1_1 + fa1_2, sa2_1 + sa2_2, params) - params.b
+        rhs = (estimate_force(fa1_1, sa2_1, params) - params.b) + (estimate_force(fa1_2, sa2_2, params) - params.b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -173,16 +157,16 @@ def per_sample_location(fa1_rel, pitch_mm):
         raise NoContact("no contact")
     r = np.clip(r, 0.0, None)
     denom = r.sum()
-    x = float((TAXEL_X_MM / DEFAULT_PITCH_MM * pitch_mm * r).sum() / denom)
-    y = float((TAXEL_Y_MM / DEFAULT_PITCH_MM * pitch_mm * r).sum() / denom)
+    x = float((TAXEL_X_MM / TAXEL_PITCH_MM * pitch_mm * r).sum() / denom)
+    y = float((TAXEL_Y_MM / TAXEL_PITCH_MM * pitch_mm * r).sum() / denom)
     return np.array([x, y])
 
 
-def per_sample_force(rel_frame, params):
-    db = np.asarray(rel_frame.sa2, dtype=float)
+def per_sample_force(fa1_rel, sa2_rel, params):
+    db = np.asarray(sa2_rel, dtype=float)
     fx = params.k[0] * db[0] + params.b[0]
     fy = params.k[1] * db[1] + params.b[1]
-    fz = params.k[2] * mixed_z_channel(db[2], np.sum(rel_frame.fa1), params) + params.b[2]
+    fz = params.k[2] * mixed_z_channel(db[2], np.sum(fa1_rel), params) + params.b[2]
     return np.array([fx, fy, float(fz)])
 
 
@@ -201,13 +185,13 @@ def test_estimators_on_a_batch_equal_per_sample_calls(rng):
     params = CalibrationParams(k=(3e-3, -2e-3, 0.4), b=(0.01, 0.0, -0.2), blend=0.35,
                                scale_bz=700.0, scale_sum=3000.0)
     joint = (6.0, 6.5, -9.0)
-    force = estimate_force(SweepSample(rows[:, 16:], rows[:, :2], fa1, sa2), params)
+    force = estimate_force(fa1, sa2, params)
     loc = estimate_location(fa1, pitch_mm=2.7)
     torque = estimate_torque(np.nan_to_num(loc), force, joint)
     assert force.shape == (n, 3) and loc.shape == (n, 2) and torque.shape == (n, 3)
     for i in range(n):
-        one = SweepSample(None, None, fa1[i].copy(), sa2[i].copy())
-        for want in (estimate_force(one, params), per_sample_force(one, params)):
+        one = (fa1[i].copy(), sa2[i].copy())
+        for want in (estimate_force(*one, params), per_sample_force(*one, params)):
             np.testing.assert_array_equal(force[i].view(np.uint64), want.view(np.uint64))
         if i in (3, 7):
             assert np.isnan(loc[i]).all()
@@ -229,8 +213,7 @@ def test_estimators_keep_their_single_sample_shapes():
     with pytest.raises(NoContact):
         estimate_location(np.zeros((4, 4)))
     assert np.isnan(estimate_location(np.zeros((1, 4, 4)))).all()
-    sample = SweepSample(np.zeros(3), np.zeros(2), fa1, np.ones(3))
-    assert estimate_force(sample, CalibrationParams()).shape == (3,)
+    assert estimate_force(fa1, np.ones(3), CalibrationParams()).shape == (3,)
     assert estimate_torque((6.25, 6.25), (1.0, 0.0, 0.0)).shape == (3,)
     assert estimate_torque([(6.25, 6.25)], [(1.0, 0.0, 0.0)]).shape == (1, 3)
 
@@ -261,7 +244,7 @@ def test_fit_recovers_exact_linear_model():
     # z slope is reported against the scale-normalized channel
     assert params.k[2] / params.scale_sum == pytest.approx(kz, rel=1e-9)
     assert params.b[2] == pytest.approx(bz, abs=1e-9)
-    predicted = np.array([estimate_force(s, params) for s in sweep.samples])
+    predicted = np.array([estimate_force(s.fa1_rel, s.sa2_rel, params) for s in sweep.samples])
     np.testing.assert_allclose(predicted, sweep.force_truth(), atol=1e-9)
     assert np.all(params.r2 > 1.0 - 1e-12)
 
@@ -285,7 +268,7 @@ def test_residuals_are_orthogonal_to_regressors(rng):
     db = np.column_stack([db_x, np.linspace(-300, 300, n), np.linspace(30, 1400, n)])
     sweep = make_sweep(force, sums, db)
     params = fit_calibration([sweep], blend=0.0)
-    predicted = np.array([estimate_force(s, params) for s in sweep.samples])
+    predicted = np.array([estimate_force(s.fa1_rel, s.sa2_rel, params) for s in sweep.samples])
     resid_x = force[:, 0] - predicted[:, 0]
     assert abs(resid_x @ db_x) <= 1e-8 * np.linalg.norm(resid_x) * np.linalg.norm(db_x) + 1e-8
     assert abs(resid_x.sum()) <= 1e-8 * np.sqrt(n) * np.linalg.norm(resid_x) + 1e-8

@@ -203,27 +203,26 @@ TABLES = {
     "float32": [np.array([0.1, -0.0, 3.4e38, 1e-45, 1 / 3], dtype=np.float32)],
     "float64-mixed-with-float": [[np.float64(0.1), 0.2, np.float64(1 / 3), 2.5, np.float64(-1e-300)]],
     "ints": [[0, -7, 2**62, 3], np.array([1, 2, 3, 4], dtype=np.int64)],
-    "text-int-float": [["L1", "a,b", 'q"uote', ""], [5, 6, 7, 8], [1.5, -0.0, 1e-05, 2.0]],
+    "text-int-float": [(("L1", "L2"), np.array([[0], [1], [1], [0]])), [5, 6, 7, 8], [1.5, -0.0, 1e-05, 2.0]],
     "empty": [[], []],
     "nan-inf": [[np.nan, np.inf, -np.inf, -np.nan, np.nan, 1.0], [1, 1, 2, 2, 2, 3]],
-    "one-text-column": [["", "", "a", ""]],
     # runs that cross the write chunks' boundaries, and runs that end on them
     "longer-than-two-chunks": [
         np.where(np.arange(N_LONG) // 300 % 2, -0.0, 0.0),
         (np.arange(N_LONG) >= CSV_CHUNK_ROWS).astype(float) - 0.5,
         np.arange(N_LONG) // 7,
-        np.array(["held", "", "a,b"])[np.arange(N_LONG) // (CSV_CHUNK_ROWS - 1) % 3],
+        (("held", "", "a"), (np.arange(N_LONG) // (CSV_CHUNK_ROWS - 1) % 3)[:, None]),
         np.where(np.arange(N_LONG) % 2, 0.0, -0.0),
     ],
-    # integer columns of few values and of many runs, read from their runs
-    "int-ranges-longer-than-two-chunks": [
+    # integer columns of few values and of many runs, each run its own text
+    "int-runs-longer-than-two-chunks": [
         np.arange(N_LONG) % 2,  # the grasp trace's finger values: a run per row, of two values
         np.arange(N_LONG) // 2,  # its tick column: as many values as runs
         np.arange(N_LONG) % 7 - 3,  # from negative to positive
         (np.arange(N_LONG) // 3 % 2 * 2**40).astype(np.uint64),
     ],
-    "int-range-one-narrower-than-its-runs": [[5, 7, 6, 5], np.array([-1, 1, 0, -1], np.int8)],
-    "int-range-as-wide-as-its-runs": [[5, 7, 6], np.array([-1, 1, 0], np.int8)],
+    "int-runs-apart-of-equal-value": [[5, 7, 6, 5], np.array([-1, 1, 0, -1], np.int8)],
+    "int-runs-of-distinct-values": [[5, 7, 6], np.array([-1, 1, 0], np.int8)],
     "int64-extremes": [
         np.array([-(2**63), 2**63 - 1, -(2**63), 0, 2**63 - 1], np.int64),
         np.array([0, 2**64 - 1, 0, 2**63, 2**64 - 1], np.uint64),
@@ -258,6 +257,14 @@ def test_study_writer_bytes_equal_the_per_cell_writer(columns, notes, tmp_path):
     got = write_table(tmp_path / "columns.csv", comments, names, columns)
     want = write_csv_oracle(tmp_path / "cells.csv", comments, names, columns)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("column", [["L1", "L2"], ["5", "6"], [True, False]], ids=["text", "digits", "bools"])
+def test_study_writer_refuses_a_column_that_is_not_numbers(column, tmp_path):
+    # text reaches the writer only as a (texts, index) block its caller coded
+    with pytest.raises(TypeError, match="not numbers"):
+        write_table(tmp_path / "t.csv", [], ["c0", "c1"], [[1.5, 2.0], column])
+    assert not (tmp_path / "t.csv").exists()
 
 
 # ---------------------------------------------------------------------------

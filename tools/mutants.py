@@ -29,6 +29,7 @@ BAD_ROW_LINE = "tests/test_pipeline.py::test_a_bad_csv_row_is_named_by_its_line_
 TABLE_BYTES = "tests/test_studies.py::test_study_writer_bytes_equal_the_per_cell_writer"
 STUDY_FILES = "tests/test_studies.py::test_study_files_equal_those_of_the_per_cell_writer"
 EGG_GOLDEN = "tests/test_studies.py::test_study_outputs_match_golden_digests[closedloop-grasp-egg]"
+CHARACTERIZE_GOLDEN = "tests/test_studies.py::test_study_outputs_match_golden_digests[openloop-characterize]"
 
 MUTANTS = [
     # the CSV reader: the header checked only in the first chunk
@@ -55,6 +56,11 @@ MUTANTS = [
     ("pipeline.py", "index[bounds[1:-1]] = ", "index[bounds[1:-1] - 1] = ", [STUDY_FILES]),
     # the grasp trace's finger labels swapped
     ("experiments.py", '(("0", "1"), rows.finger[:, None])', '(("1", "0"), rows.finger[:, None])', [EGG_GOLDEN]),
+    # characterize's sample labels a row off: each location's run starts a row late
+    ("experiments.py", "np.repeat(rows, [len(s.samples) for s in sweeps])",
+     "np.roll(np.repeat(rows, [len(s.samples) for s in sweeps]), 1)", [CHARACTERIZE_GOLDEN]),
+    # the force estimate's taxel sum over one axis only
+    ("estimation.py", "np.sum(fa1_rel, axis=(-2, -1))", "np.sum(fa1_rel, axis=-1)", [CHARACTERIZE_GOLDEN]),
 ]
 
 
@@ -80,15 +86,8 @@ def run(src: Path, argv) -> subprocess.CompletedProcess:
                           timeout=TIMEOUT_S)
 
 
-# Where mypy_extensions is installed, the hypothesis plugin imports it while it
-# reports a failed example, and the DeprecationWarning that import gives is an
-# error under pyproject.toml's filterwarnings: pytest ends with INTERNALERROR
-# (exit 3) in place of the failure.  That one warning is ignored.
-QUIET_REPORT = ["-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
-
-
 def run_tests(src: Path, tests) -> subprocess.CompletedProcess:
-    return run(src, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *QUIET_REPORT, *tests])
+    return run(src, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests])
 
 
 def main() -> int:
