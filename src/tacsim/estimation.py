@@ -9,6 +9,7 @@ fitted intercept, which keeps the zero-input output equal to ``b``.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class CharacterizationSweep(Record):
         return np.array([s.sa2_rel for s in self.samples])
 
     def fa1_sums(self) -> np.ndarray:
-        return np.array([s.fa1_sum for s in self.samples])
+        """Each sample's taxel sum: the stacked readings summed in one reduction over the last axis."""
+        return np.array([s.fa1_rel for s in self.samples]).reshape(len(self.samples), 16).sum(axis=-1)
 
 
 def estimate_location(fa1_rel, pitch_mm: float = TAXEL_PITCH_MM) -> np.ndarray:
@@ -175,8 +177,9 @@ def fit_calibration(sweeps, blend: float | None = None) -> CalibrationParams:
     """
     force, db, sums, scale_bz, scale_sum = _pool(sweeps)
     rmsd_curve = None
-    if blend is None:
-        blend, _, rmsd_curve = select_blend(sweeps)
+    if blend is None:  # the pooled arrays, passed as one sweep: no sample is read twice
+        pooled = SimpleNamespace(force_truth=lambda: force, delta_b=lambda: db, fa1_sums=lambda: sums)
+        blend, _, rmsd_curve = select_blend([pooled])
 
     kx, bx, r2x, _ = _ols_line(db[:, 0], force[:, 0])
     ky, by, r2y, _ = _ols_line(db[:, 1], force[:, 1])

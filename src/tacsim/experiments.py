@@ -224,8 +224,9 @@ def run_characterize(cfg: Config, out_dir=None) -> CharacterizeResult:
             ["location", "fx_true_n", "fy_true_n", "fz_true_n", "cop_x_mm", "cop_y_mm",
              "dbx_ut", "dby_ut", "dbz_ut", "fa1_sum_counts"],
             [(labels, np.repeat(rows, [len(s.samples) for s in sweeps])[:, None]),
-             *map(list, zip(*([*s.force_true_n, *s.location_true_mm, *s.sa2_rel, s.fa1_sum]
-                              for sweep in sweeps for s in sweep.samples)))],
+             *map(list, zip(*([*s.force_true_n, *s.location_true_mm, *s.sa2_rel]
+                              for sweep in sweeps for s in sweep.samples))),
+             np.concatenate([sweep.fa1_sums() for sweep in sweeps])],
         )
         out_files = [report, samples, _write_calibration(cfg, params, out_dir, "characterize")]
     return CharacterizeResult(sweeps=sweeps, params=params, metrics=metrics, out_files=out_files)

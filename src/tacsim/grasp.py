@@ -427,9 +427,9 @@ class GraspSimulation:
         pairs["contact_force_n"][:idle] = force
 
         while start < max_ticks:
-            # the checkpoint; the front end's history is a view of the last hold's whole block
+            # the checkpoint; the front end's history is its own copy, which no hold changes
             top = (start, hold_tick, _copy_state(state), len(events),
-                   front._history.copy(), [s.env.rng.bit_generator.state for s in self.sensors])
+                   front._history, [s.env.rng.bit_generator.state for s in self.sensors])
             if state.phase is Phase.IDLE:  # the first tick after the window
                 state.phase = Phase.CLOSING
                 events.append((start, "closing_start"))

@@ -10,10 +10,12 @@ evaluates two steps: ``_dipole_geometry`` (unit vectors and cubed
 distances, independent of the moment) and ``_dipole_sum``.
 
 ``cylinder_flux`` of one offset is memoised on the magnet and the exact
-offset (its float64 bit patterns) in a bounded LRU cache.  A schedule entry
-is evaluated once; the repeats are a force held at another location and the
-idle stimulus: 138 hits of 171 calls in the open-loop studies, 33 of 90 in
-the two grasp studies.  A hit is the same read-only array every time.
+offset (its float64 bit patterns) in a bounded LRU cache.
+``TactileSensor.response`` computes a schedule's marker offsets as one
+array and looks each entry's up here once; the repeats are a force held at
+another location and the idle stimulus: 138 hits of 171 calls in the
+open-loop studies, 33 of 90 in the two grasp studies.  A hit is the same
+read-only array every time.
 Stacked ``(m, 3)`` offsets are evaluated in one pass outside the memo.
 ``calibrate_moment`` keeps the geometry of its two probe points and sums
 it per bisection step, so it does not go through ``cylinder_flux`` or its

@@ -188,9 +188,9 @@ class FrontEnd:
     baseline from their tails.  Each ``hold`` writes one block per sensor
     into an ``(N, k, 19)`` array, subtracts the baseline and runs the moving
     average along axis 0, on over the last ``ma_window - 1`` frames of the
-    previous hold, so sensor *j*'s rows equal, bit for bit, what a
-    ``StreamProcessor`` gives frame by frame, however the frames are split
-    into holds.
+    previous hold (a copy of their own), so sensor *j*'s rows equal, bit for
+    bit, what a ``StreamProcessor`` gives frame by frame, however the frames
+    are split into holds.
 
     The sensors are ``TactileSensor``s.  Those of equal ``physics`` (magnet,
     elastomer and earth field, read at construction) share one noise-free
@@ -235,7 +235,8 @@ class FrontEnd:
             rows[past:, j, :16] = counts
             rows[past:, j, 16:] = flux
         rows[past:] -= self.baseline
-        self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):]
+        # a copy of the rows the next hold's filter reaches back to: a view would keep the whole block
+        self._history = rows[max(len(rows) - self.config.ma_window + 1, 0):].copy()
         return moving_average(rows, self.config.ma_window, start=past)
 
 
@@ -357,6 +358,21 @@ def _coded(values: np.ndarray):
     return [f"{v!r}" for v in firsts], index  # ASCII, which write_table encodes
 
 
+# what no cell written unquoted may hold: a row's or a field's end, a quote, or the NUL
+# that the writer pads its slots with
+_UNWRITABLE = '\0\r\n,"'
+
+
+def _check_block_texts(texts) -> None:
+    """MalformedRecord if a block's text holds a character of ``_UNWRITABLE``:
+    a scan per character over the texts joined, none per text."""
+    kind = bytes if len(texts) and isinstance(texts[0], bytes) else str
+    unwritable = _UNWRITABLE.encode() if kind is bytes else _UNWRITABLE
+    if any(c in kind().join(texts) for c in unwritable):
+        bad = next(text for text in texts if any(c in text for c in unwritable))
+        raise MalformedRecord(f"a block text holds a NUL, a line break, a comma or a quote: {bad!r}")
+
+
 def write_table(path, comments, names, columns):
     """Write a CSV table and return ``path``: each comment as a ``# `` line, the header ``names``, the rows.
 
@@ -365,14 +381,16 @@ def write_table(path, comments, names, columns):
     written as ``csv.writer`` writes them (a float as the shortest
     round-trip repr of its float64 value), or a block of ``c`` columns its
     caller coded, as a ``(texts, index)`` tuple: the texts as written,
-    unquoted (ASCII ``str`` or UTF-8 bytes), and an ``(n, c)`` integer array
-    of each cell's text; TypeError for any other column.  A comment line ends in
-    ``\\n``; the header and every row in ``\\r\\n``.  The file is UTF-8.  Each
-    part's texts become byte slots (the text, NULs to pad, ``,\\0``) that
-    ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at a time; each row's last
-    two bytes become ``\\r\\n`` and the NULs are dropped, so no text may hold
-    a NUL.  MalformedRecord, before the file is opened, for a comment of more
-    than one line or that UTF-8 cannot encode.
+    unquoted (all ASCII ``str`` or all UTF-8 bytes), and an ``(n, c)``
+    integer array of each cell's text; TypeError for any other column.  A
+    comment line ends in ``\\n``; the header and every row in ``\\r\\n``.
+    The file is UTF-8.  Each part's texts become byte slots (the text, NULs
+    to pad, ``,\\0``) that ``take`` gathers into rows, ``CSV_CHUNK_ROWS`` at
+    a time; each row's last two bytes become ``\\r\\n`` and the NULs are
+    dropped.  MalformedRecord,
+    before the file is opened, for a comment of more than one line or that
+    UTF-8 cannot encode, and for a block text that holds a NUL, ``\\r``,
+    ``\\n``, ``,`` or ``"``: the row would break, or lose the NUL.
     """
     if any("\n" in line or "\r" in line for line in comments):
         raise MalformedRecord("header comment must be one line")
@@ -385,7 +403,11 @@ def write_table(path, comments, names, columns):
         raise MalformedRecord(f"header comment is not UTF-8 text: {exc.reason}") from None
     parts = []  # (slots, index) pairs to gather
     for column in columns:
-        texts, index = column if isinstance(column, tuple) else _coded(np.asarray(column))
+        if isinstance(column, tuple):
+            texts, index = column
+            _check_block_texts(texts)
+        else:
+            texts, index = _coded(np.asarray(column))
         texts = np.asarray(texts, "S")
         slots = np.zeros((len(texts), texts.itemsize + 2), np.uint8)
         slots[:, :-2] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)

@@ -42,6 +42,10 @@ BONE_BEARING_FRACTION = 0.6
 
 DEFAULT_PROBE_RADIUS_MM = 5.3
 
+# the sensor-to-world rotation of an entry whose orientation is None
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
+
 # distinct (location, probe radius) footprints kept by the footprint_weights
 # memo; in one process the open-loop studies meet 5, the grasp studies 1
 FOOTPRINT_CACHE_SIZE = 256
@@ -163,16 +167,17 @@ def fa1_gain(elastomer: ElastomerSpec) -> float:
     return elastomer.rest_resistance * elastomer.gauge_factor
 
 
-def _fa1_reading(stimulus: ContactStimulus, elastomer: ElastomerSpec) -> np.ndarray:
-    """Noise-free 4x4 taxel reading (counts, unrounded) for one contact.
+def _fa1_reading(weights: np.ndarray, fz: np.ndarray, elastomer: ElastomerSpec) -> np.ndarray:
+    """Noise-free taxel readings (counts, unrounded) of contacts, elementwise.
 
-    Each taxel is a linear spring: strain = (its share of Fz / taxel area)
-    / modulus, reading = rest_resistance * gauge_factor * strain.
+    ``weights`` are footprint weights and ``fz`` normal forces that
+    broadcast against them: a 4x4 footprint and a number for one contact,
+    ``(m, 16)`` and ``(m, 1)`` for ``m``.  Each taxel is a linear spring:
+    strain = (its share of Fz / taxel area) / modulus, reading =
+    rest_resistance * gauge_factor * strain.
     """
-    fz = stimulus.force_n[2]
-    w = footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm)
     area_m2 = (TAXEL_PITCH_MM * 1e-3) ** 2
-    stress_pa = w * fz / area_m2
+    stress_pa = weights * fz / area_m2
     strain = stress_pa / (elastomer.modulus_kpa * 1e3)
     return fa1_gain(elastomer) * strain
 
@@ -186,7 +191,8 @@ def sample_fa1(
     stimulus: ContactStimulus, elastomer: ElastomerSpec, env: Environment
 ) -> np.ndarray:
     """Integer 4x4 taxel counts for one contact: noise is added before quantisation."""
-    reading = _fa1_reading(stimulus, elastomer)
+    weights = footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm)
+    reading = _fa1_reading(weights, stimulus.force_n[2], elastomer)
     if env.fa1_noise_counts > 0.0:
         reading = reading + env.rng.normal(0.0, env.fa1_noise_counts, size=reading.shape)
     return _fa1_counts(reading)
@@ -207,7 +213,7 @@ def compliance_mm_per_n(elastomer: ElastomerSpec) -> float:
 
 
 def travel_stop_force_n(elastomer: ElastomerSpec) -> float:
-    """Largest force magnitude (N) that ``bone_displacement`` takes without raising."""
+    """Largest force magnitude (N) whose ``bone_displacement`` passes the travel stop."""
     compliance, limit = compliance_mm_per_n(elastomer), MAX_TRAVEL_FRACTION * elastomer.sa2_thickness_mm
     force = limit / compliance
     while compliance * force > limit:  # the quotient can round up by an ulp
@@ -216,44 +222,45 @@ def travel_stop_force_n(elastomer: ElastomerSpec) -> float:
 
 
 def bone_displacement(force_n, elastomer: ElastomerSpec) -> np.ndarray:
-    """Quasi-static bone displacement (mm) under the contact wrench."""
-    delta = compliance_mm_per_n(elastomer) * np.asarray(force_n, dtype=float)
-    limit = MAX_TRAVEL_FRACTION * elastomer.sa2_thickness_mm
-    if np.linalg.norm(delta) > limit:
-        raise DisplacementOutOfRange(
-            f"|delta| = {np.linalg.norm(delta):.3f} mm exceeds the {limit:.2f} mm stop"
-        )
-    return delta
+    """Quasi-static bone displacement (mm) under the contact wrench: ``(3,)`` or ``(m, 3)``.
 
-
-def magnet_field_at_sensor(magnet: MagnetSpec, displacement_mm, gap_mm: float) -> np.ndarray:
-    """Marker flux (uT) at the sensor for a given bone displacement."""
-    dx, dy, dz = displacement_mm
-    # magnet bottom face rests at (0, 0, gap); +dz moves it toward the sensor
-    position = np.array([dx, dy, gap_mm - dz])
-    return cylinder_flux(magnet, -position)
-
-
-def _sa2_field(
-    stimulus: ContactStimulus,
-    magnet: MagnetSpec,
-    elastomer: ElastomerSpec,
-    env: Environment,
-    orientation=None,
-) -> np.ndarray:
-    """Noise-free flux (uT) at the sensor: marker + earth.
-
-    The earth field enters through the transpose of the sensor-to-world
-    rotation ``orientation`` (``None`` is the identity).
+    The travel stop is not checked here: ``_check_travel`` checks one
+    displacement.
     """
-    delta = bone_displacement(stimulus.force_n, elastomer)
-    R = np.eye(3)
+    return compliance_mm_per_n(elastomer) * np.asarray(force_n, dtype=float)
+
+
+def _check_travel(delta: np.ndarray, elastomer: ElastomerSpec) -> None:
+    """DisplacementOutOfRange if one ``(3,)`` bone displacement passes the travel stop."""
+    limit = MAX_TRAVEL_FRACTION * elastomer.sa2_thickness_mm
+    norm = math.sqrt(delta.dot(delta))  # np.linalg.norm's own formula for a vector, without its overhead
+    if norm > limit:
+        raise DisplacementOutOfRange(f"|delta| = {norm:.3f} mm exceeds the {limit:.2f} mm stop")
+
+
+def magnet_field_at_sensor(magnet: MagnetSpec, displacement_mm, gap_mm: float):
+    """Marker flux (uT) at the sensor for each of ``(m, 3)`` bone displacements, in turn.
+
+    The offsets of all ``m`` are computed at once; each entry's flux is
+    looked up in the ``cylinder_flux`` memo when it is asked for, so a
+    caller can check an entry before a later one's field is evaluated.
+    """
+    # magnet bottom face rests at (0, 0, gap); +dz moves it toward the sensor
+    displacement = np.asarray(displacement_mm, dtype=float).reshape(-1, 3)
+    offsets = -displacement
+    offsets[:, 2] = -(gap_mm - displacement[:, 2])
+    return (cylinder_flux(magnet, offset) for offset in offsets)
+
+
+def _earth_term(orientation, earth_field_ut: np.ndarray) -> np.ndarray:
+    """The world-frame earth field in the sensor frame: through the transpose of the
+    sensor-to-world rotation ``orientation`` (``None`` is the identity)."""
+    R = _IDENTITY
     if orientation is not None:
         R = np.asarray(orientation, dtype=float)
         if not is_rotation(R):
             raise ValueError("orientation must be a proper rotation matrix")
-    b = magnet_field_at_sensor(magnet, delta, elastomer.sa2_thickness_mm)
-    return b + R.T @ env.earth_field_ut
+    return R.T @ earth_field_ut
 
 
 def _quantize_flux(b: np.ndarray, step_ut: float) -> np.ndarray:
@@ -269,7 +276,11 @@ def sample_sa2(
     orientation=None,
 ) -> np.ndarray:
     """Three-axis flux sample (uT): noise-free field plus noise, quantised."""
-    b = _sa2_field(stimulus, magnet, elastomer, env, orientation)
+    delta = bone_displacement(stimulus.force_n, elastomer)
+    _check_travel(delta, elastomer)
+    earth = _earth_term(orientation, env.earth_field_ut)
+    (marker,) = magnet_field_at_sensor(magnet, delta, elastomer.sa2_thickness_mm)
+    b = marker + earth
     if env.sa2_noise_ut > 0.0:
         b = b + env.rng.normal(0.0, env.sa2_noise_ut, size=3)
     return _quantize_flux(b, env.quantization_ut)
@@ -322,21 +333,42 @@ class TactileSensor:
 
         A schedule is a sequence of ``(stimulus, n, orientation)`` entries,
         held in turn for ``n`` frames each.  A row is the 16 taxel readings
-        (counts, unrounded, row-major) then the 3 flux axes (uT); each
-        entry's row is computed once.  ValueError, before anything is
-        computed, for an ``n`` that is not an integer of 0 or more.
+        (counts, unrounded, row-major) then the 3 flux axes (uT).  The
+        entries' bone displacements, marker offsets and taxel readings are
+        computed as arrays, and the earth term once per distinct orientation
+        object.  Only the checks, the lookups and the fills stay per entry:
+        in entry order the footprint, the travel stop, the orientation and
+        the marker flux (the ``cylinder_flux`` memo), so a failing schedule
+        raises what its first failing entry raises alone.  ValueError,
+        before anything is computed, for an ``n`` that is not an integer of
+        0 or more.
         """
         frames = 0
         for _, n, _ in schedule:
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
                 raise ValueError(f"a schedule entry's frame count must be an integer >= 0, got {n!r}")
             frames += n
+        forces = np.array([stimulus.force_n for stimulus, _, _ in schedule], dtype=float).reshape(-1, 3)
+        elastomer = self.elastomer
+        delta = bone_displacement(forces, elastomer)
+        markers = magnet_field_at_sensor(self.magnet, delta, elastomer.sa2_thickness_mm)
         rows = np.empty((frames, 19))
-        end = 0
-        for stimulus, n, R in schedule:
+        weights, earth, end = [], {}, 0  # earth: the term of each orientation object met so far
+        # in entry order, what can refuse an entry: its footprint, the travel stop, its
+        # orientation, then its marker offset (in the cylinder_flux memo lookup)
+        for (stimulus, n, R), displacement in zip(schedule, delta):
+            weights.append(footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm))
+            _check_travel(displacement, elastomer)
+            term = earth.get(id(R))
+            if term is None:
+                term = earth[id(R)] = _earth_term(R, self.env.earth_field_ut)
             start, end = end, end + n
-            rows[start:end, :16] = _fa1_reading(stimulus, self.elastomer).reshape(16)
-            rows[start:end, 16:] = _sa2_field(stimulus, self.magnet, self.elastomer, self.env, R)
+            rows[start:end, 16:] = next(markers) + term
+        fa1 = _fa1_reading(np.array(weights).reshape(-1, 16), forces[:, 2:], elastomer)
+        end = 0
+        for (_, n, _), reading in zip(schedule, fa1):
+            start, end = end, end + n
+            rows[start:end, :16] = reading
         return rows
 
     def digitize(self, response: np.ndarray):

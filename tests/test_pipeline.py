@@ -290,6 +290,17 @@ def test_sensors_of_equal_physics_share_one_response(fingers, responses, two_fin
     assert calls == [0, 1][:responses] * 2  # the window, then the hold
 
 
+@pytest.mark.parametrize("frames", [2, 500])
+def test_a_front_end_keeps_only_the_rows_its_filter_reaches_back_to(frames, two_fingers):
+    config = StreamConfig(init_samples=20, baseline_tail=5, ma_window=6)
+    front = FrontEnd(two_fingers("same", 5), config, ContactStimulus())
+    rows = front.hold([(ContactStimulus(force_n=(0.0, 0.0, 1.0)), frames, None)])
+    # its own copy of the last ma_window - 1 rows, not a view that keeps the hold's whole block
+    assert front._history.base is None and front._history.flags.owndata
+    assert front._history.shape == (min(frames, config.ma_window - 1), 2, 19)
+    assert not np.shares_memory(front._history, rows)
+
+
 def test_a_front_end_needs_a_sensor():
     with pytest.raises(ValueError, match="at least one sensor"):
         FrontEnd([], StreamConfig(), ContactStimulus())

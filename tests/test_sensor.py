@@ -1,20 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tacsim.errors import DisplacementOutOfRange
-from tacsim.magnets import default_magnet
+from tacsim.errors import DisplacementOutOfRange, OffsetTooSmall
+from tacsim.magnets import cylinder_flux, default_magnet
 from tacsim.pipeline import FrontEnd, StreamConfig, TactileFrame
-from tacsim.rotations import axis_angle, rot_x, rot_y
+from tacsim.rotations import axis_angle, is_rotation, rot_x, rot_y
 from tacsim.sensor import (
+    DEFAULT_PROBE_RADIUS_MM,
     FACE_CENTER_MM,
+    MAX_TRAVEL_FRACTION,
+    TAXEL_PITCH_MM,
     TAXEL_X_MM,
     TAXEL_Y_MM,
     ContactStimulus,
     ElastomerSpec,
     Environment,
     TactileSensor,
+    _check_travel,
     _fa1_reading,
     apply_hysteresis,
     bone_displacement,
@@ -34,7 +40,21 @@ def press(fz, loc=FACE_CENTER_MM):
 
 def rest_flux(magnet, elastomer):
     """Marker field at zero displacement: no earth field, no noise."""
-    return magnet_field_at_sensor(magnet, np.zeros(3), elastomer.sa2_thickness_mm)
+    (flux,) = magnet_field_at_sensor(magnet, np.zeros(3), elastomer.sa2_thickness_mm)
+    return flux
+
+
+def reading(stimulus, elastomer):
+    """The noise-free 4x4 taxel reading of one contact."""
+    weights = footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm)
+    return _fa1_reading(weights, stimulus.force_n[2], elastomer)
+
+
+def travel(force_n, elastomer):
+    """The bone displacement under one force, checked against the travel stop."""
+    delta = bone_displacement(force_n, elastomer)
+    _check_travel(delta, elastomer)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +111,9 @@ def test_frozen_center_press_counts(elastomer, quiet_env):
 def test_saturation_clips_at_the_adc_ceiling(elastomer, quiet_env):
     # off-centre 2 N presses concentrate load enough to clip one taxel
     for stimulus in (press(6.0), press(2.0, (4.5, 4.5))):
-        assert np.rint(_fa1_reading(stimulus, elastomer)).max() > 1023
+        assert np.rint(reading(stimulus, elastomer)).max() > 1023
         assert sample_fa1(stimulus, elastomer, quiet_env).max() == 1023
-    assert np.rint(_fa1_reading(press(2.0), elastomer)).max() <= 1023
+    assert np.rint(reading(press(2.0), elastomer)).max() <= 1023
     assert sample_fa1(press(2.0), elastomer, quiet_env).max() < 1023
 
 
@@ -206,9 +226,9 @@ def test_compliance_closed_form(elastomer):
 def test_displacement_hits_mechanical_stop(elastomer):
     c = compliance_mm_per_n(elastomer)
     limit_force = 0.8 * elastomer.sa2_thickness_mm / c
-    bone_displacement((0.0, 0.0, limit_force - 0.05), elastomer)
+    travel((0.0, 0.0, limit_force - 0.05), elastomer)
     with pytest.raises(DisplacementOutOfRange):
-        bone_displacement((0.0, 0.0, limit_force + 0.05), elastomer)
+        travel((0.0, 0.0, limit_force + 0.05), elastomer)
 
 
 def test_travel_stop_force_at_the_defaults(elastomer):
@@ -220,9 +240,9 @@ def test_travel_stop_force_at_the_defaults(elastomer):
 def test_travel_stop_force_is_the_largest_the_stop_takes(modulus_kpa, thickness_mm):
     elastomer = ElastomerSpec(modulus_kpa=modulus_kpa, sa2_thickness_mm=thickness_mm)
     stop = travel_stop_force_n(elastomer)
-    bone_displacement((0.0, 0.0, stop), elastomer)
+    travel((0.0, 0.0, stop), elastomer)
     with pytest.raises(DisplacementOutOfRange):
-        bone_displacement((0.0, 0.0, stop * (1.0 + 1e-9)), elastomer)
+        travel((0.0, 0.0, stop * (1.0 + 1e-9)), elastomer)
 
 
 def test_rest_configuration_returns_marker_field_exactly(elastomer, quiet_env):
@@ -348,7 +368,8 @@ def test_sample_block_equals_per_frame_samples(noise, elastomer):
 
     framed = _block_sensor(elastomer, noise)
     frames = [framed.sample(stimulus, t + 1, orientation=pose) for t in range(n)]
-    # the per-layer samplers, one frame at a time, are the independent oracle
+    # the per-layer samplers, one frame at a time: the per-frame noise order (their
+    # physics is response's own, which test_response_equals_per_entry_formulas checks)
     layered = _block_sensor(elastomer, noise)
     layers = [
         (
@@ -365,6 +386,109 @@ def test_sample_block_equals_per_frame_samples(noise, elastomer):
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(flux.view(np.uint32), want_flux.view(np.uint32))
         assert sensor.env.rng.bit_generator.state == block.env.rng.bit_generator.state
+
+
+# the per-entry formulas, as each schedule entry was once evaluated alone: the
+# independent oracle of response's array pass
+
+
+def oracle_fa1(stimulus, elastomer):
+    fz = stimulus.force_n[2]
+    w = footprint_weights(stimulus.location_mm, stimulus.probe_radius_mm)
+    area_m2 = (TAXEL_PITCH_MM * 1e-3) ** 2
+    stress_pa = w * fz / area_m2
+    strain = stress_pa / (elastomer.modulus_kpa * 1e3)
+    return elastomer.rest_resistance * elastomer.gauge_factor * strain
+
+
+def oracle_sa2(stimulus, magnet, elastomer, env, orientation):
+    delta = compliance_mm_per_n(elastomer) * np.asarray(stimulus.force_n, dtype=float)
+    limit = MAX_TRAVEL_FRACTION * elastomer.sa2_thickness_mm
+    if np.linalg.norm(delta) > limit:
+        raise DisplacementOutOfRange(f"|delta| = {np.linalg.norm(delta):.3f} mm exceeds the {limit:.2f} mm stop")
+    R = np.eye(3)
+    if orientation is not None:
+        R = np.asarray(orientation, dtype=float)
+        if not is_rotation(R):
+            raise ValueError("orientation must be a proper rotation matrix")
+    dx, dy, dz = delta
+    position = np.array([dx, dy, elastomer.sa2_thickness_mm - dz])
+    b = cylinder_flux(magnet, -position)
+    return b + R.T @ env.earth_field_ut
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_sensor(sa2_thickness_mm, earth_field_ut):
+    """A sensor on a 3 mm lower layer, or on a thin 1 mm one whose offsets can come within 0.5 mm of the magnet."""
+    elastomer = ElastomerSpec(sa2_thickness_mm=sa2_thickness_mm)
+    return TactileSensor(elastomer=elastomer, env=Environment(earth_field_ut=earth_field_ut))
+
+
+ZERO = st.sampled_from([0.0, -0.0])
+ROTATION = st.builds(
+    axis_angle, st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, -2.0, 0.5)]), st.floats(-np.pi, np.pi)
+)
+NOT_A_ROTATION = st.sampled_from([np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3)])
+STIMULUS = st.builds(
+    lambda x, y, fx, fy, fz, radius: ContactStimulus(location_mm=(x, y), force_n=(fx, fy, fz), probe_radius_mm=radius),
+    st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+    ZERO | st.floats(-1.5, 1.5), ZERO | st.floats(-1.5, 1.5), ZERO | st.floats(0.0, 4.5),
+    # the config's probe radii, and now and then one whose footprint misses every taxel
+    st.sampled_from([0.01] + [None] * 15).flatmap(
+        lambda tiny: st.just(tiny) if tiny else st.just(DEFAULT_PROBE_RADIUS_MM) | st.floats(0.5, 50.0)
+    ),
+)
+# an entry's orientation: None, the schedule's one shared rotation object, a rotation of
+# its own, or one that is not a rotation
+ORIENTATION = st.sampled_from(["none"] * 3 + ["shared"] * 4 + ["own"] * 4 + ["bad"])
+
+
+def entry(fx, fz, n, kind="none", own=np.eye(3)):
+    """An ``entries`` item of the test below: a press at (4.5, 8) mm held ``n`` frames."""
+    return ContactStimulus(location_mm=(4.5, 8.0), force_n=(fx, -0.1, fz)), n, kind, own, np.zeros((3, 3))
+
+
+EARTH = (38.031, -7.5, 32.46)
+
+
+@settings(max_examples=150, deadline=None)
+# a later entry past the travel stop; rotations of their own, and one shared
+@example(3.0, EARTH, rot_x(0.4), [entry(0.2, 1.0, 2), entry(0.0, 4.2, 3)])
+@example(3.0, EARTH, rot_x(0.4), [entry(0.2, 1.0, 2, "own", rot_y(0.3)), entry(-0.0, 0.5, 3, "shared"),
+                                  entry(0.0, 1.5, 2, "own", rot_y(-0.7)), entry(0.1, 0.0, 1, "shared")])
+# a thin layer: the first entry comes too close to the magnet, the next passes the stop
+@example(1.0, EARTH, rot_x(0.4), [entry(0.0, 3.0, 2), entry(0.0, 4.2, 1)])
+# an entry past the stop, then one whose footprint misses the face
+@example(3.0, EARTH, rot_x(0.4), [entry(0.0, 4.2, 1), (ContactStimulus(probe_radius_mm=0.01, location_mm=(6.0, 6.0)),
+                                                     1, "none", np.eye(3), np.eye(3))])
+@given(
+    st.sampled_from([3.0, 1.0]),
+    st.sampled_from([EARTH, (0.0, -0.0, 0.0)]),
+    ROTATION,
+    st.lists(st.tuples(STIMULUS, st.integers(0, 3), ORIENTATION, ROTATION, NOT_A_ROTATION), max_size=7),
+)
+def test_response_equals_per_entry_formulas(sa2_thickness_mm, earth_field_ut, shared, entries):
+    sensor = oracle_sensor(sa2_thickness_mm, earth_field_ut)
+    schedule = [(stimulus, n, {"none": None, "shared": shared, "own": own, "bad": bad}[kind])
+                for stimulus, n, kind, own, bad in entries]
+    want, first_error = [], None
+    for stimulus, n, R in schedule:
+        try:
+            row = np.concatenate([oracle_fa1(stimulus, sensor.elastomer).ravel(),
+                                  oracle_sa2(stimulus, sensor.magnet, sensor.elastomer, sensor.env, R)])
+        except (DisplacementOutOfRange, OffsetTooSmall, ValueError) as exc:
+            first_error = exc
+            break
+        want += [row] * n
+    if first_error is not None:
+        # the schedule fails as its first failing entry fails alone
+        with pytest.raises(type(first_error)) as raised:
+            sensor.response(schedule)
+        assert raised.type is type(first_error) and str(raised.value) == str(first_error)
+        return
+    got = sensor.response(schedule)
+    assert got.shape == (len(want), 19)
+    np.testing.assert_array_equal(got.view(np.uint64), np.reshape(want, (-1, 19)).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

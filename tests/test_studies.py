@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tacsim
 from tacsim import cli, experiments, pipeline
 from tacsim.config import load_config
-from tacsim.errors import TacsimError
+from tacsim.errors import MalformedRecord, TacsimError
 from tacsim.experiments import (
     _header,
     run_characterize,
@@ -264,6 +264,23 @@ def test_study_writer_refuses_a_column_that_is_not_numbers(column, tmp_path):
     # text reaches the writer only as a (texts, index) block its caller coded
     with pytest.raises(TypeError, match="not numbers"):
         write_table(tmp_path / "t.csv", [], ["c0", "c1"], [[1.5, 2.0], column])
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["a,b", 'q"uote', "cr\r", "lf\n", "nul\0", "\0", b"a,b", b"nul\0"], ids=repr)
+def test_study_writer_refuses_a_block_text_it_cannot_write_unquoted(text, tmp_path):
+    # a comma or a quote would split or open a field, a line break end the row, and a NUL
+    # would be dropped with the slots' padding
+    block = (("fine", text) if isinstance(text, str) else (b"fine", text), np.array([[0], [1]]))
+    with pytest.raises(MalformedRecord, match="block text"):
+        write_table(tmp_path / "t.csv", [], ["label", "x"], [block, [1.0, 2.0]])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_study_writer_refuses_a_block_of_one_text_with_a_comma(tmp_path):
+    # it used to write a,b,1.0: three fields under a two-field header
+    with pytest.raises(MalformedRecord, match="'a,b'"):
+        write_table(tmp_path / "t.csv", [], ["label", "x"], [(("a,b",), np.zeros((1, 1), int)), [1.0]])
     assert not (tmp_path / "t.csv").exists()
 
 

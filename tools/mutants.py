@@ -30,6 +30,8 @@ TABLE_BYTES = "tests/test_studies.py::test_study_writer_bytes_equal_the_per_cell
 STUDY_FILES = "tests/test_studies.py::test_study_files_equal_those_of_the_per_cell_writer"
 EGG_GOLDEN = "tests/test_studies.py::test_study_outputs_match_golden_digests[closedloop-grasp-egg]"
 CHARACTERIZE_GOLDEN = "tests/test_studies.py::test_study_outputs_match_golden_digests[openloop-characterize]"
+DISTURBANCE_GOLDEN = "tests/test_studies.py::test_study_outputs_match_golden_digests[openloop-disturbance]"
+RESPONSE_ORACLE = "tests/test_sensor.py::test_response_equals_per_entry_formulas"
 
 MUTANTS = [
     # the CSV reader: the header checked only in the first chunk
@@ -61,6 +63,15 @@ MUTANTS = [
      "np.roll(np.repeat(rows, [len(s.samples) for s in sweeps]), 1)", [CHARACTERIZE_GOLDEN]),
     # the force estimate's taxel sum over one axis only
     ("estimation.py", "np.sum(fa1_rel, axis=(-2, -1))", "np.sum(fa1_rel, axis=-1)", [CHARACTERIZE_GOLDEN]),
+    # the array response: every entry given the first orientation's earth term
+    ("sensor.py", "term = earth.get(id(R))", "term = next(iter(earth.values()), None)",
+     [RESPONSE_ORACLE, DISTURBANCE_GOLDEN]),
+    # the travel stop checked for entry 0 only
+    ("sensor.py", "_check_travel(displacement, elastomer)", "_check_travel(delta[0], elastomer)",
+     [RESPONSE_ORACLE]),
+    # an entry's flux rows filled one slot late
+    ("sensor.py", "rows[start:end, 16:] = next(markers)", "rows[start + 1 : end + 1, 16:] = next(markers)",
+     [RESPONSE_ORACLE, CHARACTERIZE_GOLDEN]),
 ]
 
 
